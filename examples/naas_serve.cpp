@@ -57,8 +57,12 @@
 //   --faults <spec>       arm the deterministic fault injector (same
 //                         grammar as NAAS_FAULTS; see core/fault.hpp)
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <csignal>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,13 +110,21 @@ bool all_whitespace(const std::string& line) {
 // the handler pokes the server's (async-signal-safe) stop request.
 volatile std::sig_atomic_t g_stop = 0;
 std::atomic<naas::serve::Server*> g_server{nullptr};
+int g_devnull = -1;  ///< opened before the handlers are installed
 
 void on_signal(int) {
+  const int saved_errno = errno;
   g_stop = 1;
+  // A signal that lands after the loop's g_stop check but before the next
+  // read(2) blocks interrupts nothing; pointing stdin at /dev/null makes
+  // that read return EOF instead of waiting for input that may never come.
+  if (g_devnull >= 0) ::dup2(g_devnull, STDIN_FILENO);
   if (naas::serve::Server* s = g_server.load()) s->request_stop();
+  errno = saved_errno;
 }
 
 void install_signal_handlers() {
+  g_devnull = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = on_signal;

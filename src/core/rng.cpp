@@ -65,12 +65,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-std::vector<double> Rng::normal_vector(int n) {
-  std::vector<double> out(static_cast<std::size_t>(n));
-  for (auto& x : out) x = normal();
-  return out;
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {

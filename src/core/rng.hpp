@@ -43,9 +43,6 @@ class Rng {
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Vector of `n` standard normal deviates.
-  std::vector<double> normal_vector(int n);
-
   /// Returns true with probability `p` (clamped to [0,1]).
   bool bernoulli(double p);
 

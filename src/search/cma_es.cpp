@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "core/log.hpp"
@@ -19,10 +20,12 @@ CmaEs::CmaEs(const CmaEsOptions& options)
       mean_(static_cast<std::size_t>(options.dim), 0.5),
       sigma_(options.sigma0),
       cov_(core::Matrix::identity(options.dim)),
-      chol_(core::Matrix::identity(options.dim)),
       path_sigma_(static_cast<std::size_t>(options.dim), 0.0),
-      path_c_(static_cast<std::size_t>(options.dim), 0.0) {
+      path_c_(static_cast<std::size_t>(options.dim), 0.0),
+      z_(static_cast<std::size_t>(options.dim)),
+      y_(static_cast<std::size_t>(options.dim)) {
   assert(dim_ >= 1 && opts_.population >= 2);
+  cov_.cholesky(chol_);
   // Standard log-rank recombination weights.
   weights_.resize(static_cast<std::size_t>(mu_));
   for (int i = 0; i < mu_; ++i)
@@ -47,34 +50,29 @@ CmaEs::CmaEs(const CmaEsOptions& options)
   chi_n_ = std::sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n));
 }
 
-std::vector<double> CmaEs::sample_from(core::Rng& rng, double sigma) const {
-  const std::vector<double> z = rng.normal_vector(dim_);
-  std::vector<double> y = chol_.matvec(z);
-  std::vector<double> x(static_cast<std::size_t>(dim_));
-  for (int i = 0; i < dim_; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    x[s] = std::clamp(mean_[s] + sigma * y[s], 0.0, 1.0);
-  }
-  return x;
+void CmaEs::sample_one(std::vector<double>& x) {
+  for (double& v : z_) v = rng_.normal();
+  core::lower_matvec(chol_, z_, y_);
+  for (std::size_t s = 0; s < x.size(); ++s)
+    x[s] = std::clamp(mean_[s] + sigma_ * y_[s], 0.0, 1.0);
 }
-
-std::vector<double> CmaEs::sample_one() { return sample_from(rng_, sigma_); }
 
 double CmaEs::marginal_stddev(int i) const {
   assert(i >= 0 && i < dim_);
   return sigma_ * std::sqrt(std::max(0.0, cov_(i, i)));
 }
 
-std::vector<std::vector<double>> CmaEs::ask(
-    const std::function<bool(const std::vector<double>&)>& valid) {
-  std::vector<std::vector<double>> pop;
-  pop.reserve(static_cast<std::size_t>(opts_.population));
-  for (int k = 0; k < opts_.population; ++k) {
-    std::vector<double> x = sample_one();
+void CmaEs::sample_population(
+    const std::function<bool(const std::vector<double>&)>& valid,
+    std::vector<std::vector<double>>& pop) {
+  pop.resize(static_cast<std::size_t>(opts_.population));
+  for (std::vector<double>& x : pop) {
+    x.resize(static_cast<std::size_t>(dim_));
+    sample_one(x);
     if (valid) {
       for (int attempt = 0; attempt < opts_.max_resample && !valid(x);
            ++attempt) {
-        x = sample_one();
+        sample_one(x);
       }
       if (!valid(x)) {
         // Every resample landed outside the feasible space. Never hand a
@@ -89,15 +87,20 @@ std::vector<std::vector<double>> CmaEs::ask(
                         std::to_string(resample_exhausted_) + ")");
       }
     }
-    pop.push_back(std::move(x));
   }
+}
+
+std::vector<std::vector<double>> CmaEs::ask(
+    const std::function<bool(const std::vector<double>&)>& valid) {
+  std::vector<std::vector<double>> pop;
+  sample_population(valid, pop);
   return pop;
 }
 
 const std::vector<std::vector<double>>& CmaEs::begin_generation(
     const std::function<bool(const std::vector<double>&)>& valid) {
   assert(!generation_open());
-  pending_population_ = ask(valid);
+  sample_population(valid, pending_population_);
   pending_fitness_.assign(pending_population_.size(), 0.0);
   pending_reported_.assign(pending_population_.size(), false);
   pending_remaining_ = pending_population_.size();
@@ -124,14 +127,18 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
   const int mu = std::min(mu_, lambda);
 
   // Rank candidates by fitness (ascending; lower is better).
-  std::vector<int> order(static_cast<std::size_t>(lambda));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+  order_.resize(static_cast<std::size_t>(lambda));
+  std::iota(order_.begin(), order_.end(), 0);
+  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
     return fitness[static_cast<std::size_t>(a)] <
            fitness[static_cast<std::size_t>(b)];
   });
+  const auto parent = [&](int i) -> const std::vector<double>& {
+    return population[static_cast<std::size_t>(
+        order_[static_cast<std::size_t>(i)])];
+  };
 
-  const std::vector<double> old_mean = mean_;
+  old_mean_ = mean_;
 
   // Truncated-parent case (lambda < configured mu): the weight prefix no
   // longer sums to 1, which would shrink the recombined mean toward the
@@ -154,32 +161,21 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
   }
 
   // Weighted recombination of the mu best.
-  std::vector<double> new_mean(static_cast<std::size_t>(dim_), 0.0);
+  std::fill(mean_.begin(), mean_.end(), 0.0);
   for (int i = 0; i < mu; ++i) {
-    const auto& x = population[static_cast<std::size_t>(
-        order[static_cast<std::size_t>(i)])];
+    const auto& x = parent(i);
     const double w = (*weights)[static_cast<std::size_t>(i)];
-    for (int d = 0; d < dim_; ++d)
-      new_mean[static_cast<std::size_t>(d)] +=
-          w * x[static_cast<std::size_t>(d)];
+    for (std::size_t d = 0; d < mean_.size(); ++d) mean_[d] += w * x[d];
   }
-  mean_ = new_mean;
 
   // Mean displacement in sigma-normalized coordinates.
-  std::vector<double> y_w(static_cast<std::size_t>(dim_));
-  for (int d = 0; d < dim_; ++d) {
-    const auto s = static_cast<std::size_t>(d);
-    y_w[s] = (mean_[s] - old_mean[s]) / sigma_;
-  }
+  y_w_.resize(mean_.size());
+  for (std::size_t d = 0; d < mean_.size(); ++d)
+    y_w_[d] = (mean_[d] - old_mean_[d]) / sigma_;
 
   // z_w = L^-1 y_w approximates C^(-1/2) y_w (Cholesky CMA-ES variant).
-  std::vector<double> z_w(static_cast<std::size_t>(dim_), 0.0);
-  for (int r = 0; r < dim_; ++r) {
-    double acc = y_w[static_cast<std::size_t>(r)];
-    for (int c = 0; c < r; ++c)
-      acc -= chol_(r, c) * z_w[static_cast<std::size_t>(c)];
-    z_w[static_cast<std::size_t>(r)] = acc / chol_(r, r);
-  }
+  z_w_ = y_w_;
+  core::lower_solve(chol_, z_w_);
 
   // Step-size path and CSA update. The population was sampled with the
   // current sigma; capture it before CSA moves it — the covariance vectors
@@ -189,7 +185,7 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
   double ps_norm2 = 0.0;
   for (int d = 0; d < dim_; ++d) {
     const auto s = static_cast<std::size_t>(d);
-    path_sigma_[s] = (1.0 - c_sigma_) * path_sigma_[s] + cs_coef * z_w[s];
+    path_sigma_[s] = (1.0 - c_sigma_) * path_sigma_[s] + cs_coef * z_w_[s];
     ps_norm2 += path_sigma_[s] * path_sigma_[s];
   }
   const double ps_norm = std::sqrt(ps_norm2);
@@ -206,26 +202,29 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
   const double cc_coef = std::sqrt(c_c_ * (2.0 - c_c_) * mu_eff);
   for (int d = 0; d < dim_; ++d) {
     const auto s = static_cast<std::size_t>(d);
-    path_c_[s] = (1.0 - c_c_) * path_c_[s] + h_sigma * cc_coef * y_w[s];
+    path_c_[s] = (1.0 - c_c_) * path_c_[s] + h_sigma * cc_coef * y_w_[s];
   }
 
-  // Covariance update: decay + rank-one (path) + rank-mu (parents).
+  // Covariance update: decay + rank-one (path) + rank-mu (parents), each
+  // one elementwise pass over the matrix, in that order.
+  const auto n = static_cast<std::size_t>(dim_);
+  parent_steps_.resize(static_cast<std::size_t>(mu) * n);
+  for (int i = 0; i < mu; ++i) {
+    const auto& x = parent(i);
+    double* y_i = parent_steps_.data() + static_cast<std::size_t>(i) * n;
+    for (std::size_t d = 0; d < n; ++d)
+      y_i[d] = (x[d] - old_mean_[d]) / sampled_sigma;
+  }
   const double c1a =
       c_1_ * (1.0 - (1.0 - h_sigma * h_sigma) * c_c_ * (2.0 - c_c_));
   cov_.scale(1.0 - c1a - c_mu_);
   cov_.add_outer(path_c_, c_1_);
-  for (int i = 0; i < mu; ++i) {
-    const auto& x = population[static_cast<std::size_t>(
-        order[static_cast<std::size_t>(i)])];
-    std::vector<double> y_i(static_cast<std::size_t>(dim_));
-    for (int d = 0; d < dim_; ++d) {
-      const auto s = static_cast<std::size_t>(d);
-      y_i[s] = (x[s] - old_mean[s]) / sampled_sigma;
-    }
-    cov_.add_outer(y_i, c_mu_ * (*weights)[static_cast<std::size_t>(i)]);
-  }
+  for (int i = 0; i < mu; ++i)
+    cov_.add_outer(std::span<const double>(parent_steps_)
+                       .subspan(static_cast<std::size_t>(i) * n, n),
+                   c_mu_ * (*weights)[static_cast<std::size_t>(i)]);
   cov_.symmetrize();
-  chol_ = cov_.cholesky();
+  cov_.cholesky(chol_);
   ++generation_;
 }
 

@@ -104,8 +104,15 @@ class CmaEs {
   long long resample_exhausted() const { return resample_exhausted_; }
 
  private:
-  std::vector<double> sample_one();
-  std::vector<double> sample_from(core::Rng& rng, double sigma) const;
+  /// Draws one candidate into `x` (sized dim): z ~ N(0, I) into scratch,
+  /// then x = clamp(mean + sigma * L z, 0, 1).
+  void sample_one(std::vector<double>& x);
+
+  /// One generation into `pop`, reusing its storage: ask() fills a fresh
+  /// vector, begin_generation() the retained pending population.
+  void sample_population(
+      const std::function<bool(const std::vector<double>&)>& valid,
+      std::vector<std::vector<double>>& pop);
 
   CmaEsOptions opts_;
   core::Rng rng_;
@@ -118,12 +125,21 @@ class CmaEs {
 
   std::vector<double> mean_;
   double sigma_;
-  core::Matrix cov_;       ///< covariance C
-  core::Matrix chol_;      ///< lower Cholesky factor of C
+  core::Matrix cov_;  ///< covariance C
+  /// Lower Cholesky factor L of C, packed column-major (see
+  /// Matrix::cholesky), refactored in place by every tell().
+  std::vector<double> chol_;
   std::vector<double> path_sigma_;
   std::vector<double> path_c_;
   int generation_ = 0;
   long long resample_exhausted_ = 0;
+
+  /// Reused scratch: sampling draws z and y = L z here, and tell() keeps
+  /// its rank order, the pre-update mean, the mean step (y_w, then z_w)
+  /// and the mu parent steps y_i (row i of a flat mu x dim block).
+  std::vector<double> z_, y_;
+  std::vector<int> order_;
+  std::vector<double> old_mean_, y_w_, z_w_, parent_steps_;
 
   /// Step-API state: the retained generation and its partially-filled
   /// fitness vector (see begin_generation/tell_partial).

@@ -85,9 +85,15 @@ double reduce(MappingSearchResult& result, const mapping::Mapping& m,
 void submit_generation(const std::shared_ptr<ChainState>& st);
 
 /// Chain finale: hand the result to the caller and complete the promise so
-/// dependents (cache publishes, candidate finalizes) become ready.
+/// dependents (cache publishes, candidate finalizes) become ready. The
+/// optimizer and the per-generation slots are released here: a speculative
+/// chain's promote() handle keeps the state alive until the search ends.
 void finish_chain(const std::shared_ptr<ChainState>& st) {
   *st->out = std::move(st->result);
+  st->cma.reset();
+  st->ctx.reset();
+  st->mappings = {};
+  st->reports = {};
   st->graph.fulfill(st->done);
 }
 
@@ -138,11 +144,14 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
         st->result.tasks_executed += 1 + num_shards;
         ++st->result.generations_batched;
         st->result.candidates_batch_evaluated += static_cast<long long>(n);
-        bool complete = false;
-        for (std::size_t i = 0; i < n; ++i)
-          complete = st->cma->tell_partial(
-              i, reduce(st->result, st->mappings[i], st->reports[i]));
-        (void)complete;  // always true here: the continuation reports all n
+        // The last generation only folds into the best: its distribution
+        // update would never be sampled, so it is not computed.
+        const bool last = st->iter + 1 >= st->options.iterations;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double fitness =
+              reduce(st->result, st->mappings[i], st->reports[i]);
+          if (!last) st->cma->tell_partial(i, fitness);
+        }
         ++st->iter;
         submit_generation(st);
       },

@@ -8,6 +8,7 @@
 #include "baselines/nhas.hpp"
 #include "nn/model_zoo.hpp"
 #include "search/result_store.hpp"
+#include "test_paths.hpp"
 
 namespace naas::baselines {
 namespace {
@@ -55,8 +56,7 @@ TEST(Nasaic, LargerBudgetNeverWorse) {
 }
 
 TEST(Nasaic, WarmStartFromStoreIsBitIdentical) {
-  const std::string path =
-      ::testing::TempDir() + "naas_store_nasaic_test.bin";
+  const std::string path = test::unique_temp_path("store_nasaic_test.bin");
   std::remove(path.c_str());
 
   const cost::CostModel model;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 namespace naas::search {
@@ -340,6 +342,53 @@ TEST(CmaEs, HandlesInfiniteFitness) {
   }
   EXPECT_LT(cma.mean()[0], 0.8);
   EXPECT_TRUE(std::isfinite(cma.mean()[1]));
+}
+
+/// FNV-1a over the bytes of `v`, folded into `h`.
+std::uint64_t fold_bytes(std::uint64_t h, double v) {
+  unsigned char b[sizeof v];
+  std::memcpy(b, &v, sizeof v);
+  for (unsigned char c : b) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+/// Runs 20 ask()/tell() generations on an ill-conditioned ellipsoid and
+/// hashes every sampled candidate plus mean() and sigma() after each
+/// update: any change to the floating-point work of sampling, the
+/// covariance update or the Cholesky factor changes the hash.
+std::uint64_t trajectory_hash(int dim) {
+  CmaEsOptions opts;
+  opts.dim = dim;
+  opts.population = 4 + static_cast<int>(3.0 * std::log(dim));
+  opts.seed = 17;
+  CmaEs cma(opts);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int gen = 0; gen < 20; ++gen) {
+    const auto pop = cma.ask();
+    std::vector<double> fit;
+    for (const auto& x : pop) {
+      double f = 0.0;
+      for (int i = 0; i < dim; ++i) {
+        const double d = x[static_cast<std::size_t>(i)] - 0.3;
+        f += std::pow(10.0, 3.0 * i / (dim - 1)) * d * d;
+        h = fold_bytes(h, x[static_cast<std::size_t>(i)]);
+      }
+      fit.push_back(f);
+    }
+    cma.tell(pop, fit);
+    for (double m : cma.mean()) h = fold_bytes(h, m);
+    h = fold_bytes(h, cma.sigma());
+  }
+  return h;
+}
+
+TEST(CmaEs, TrajectoryIsPinned) {
+  // Expected values were recorded from the straightforward row-by-row
+  // Cholesky / full matvec implementation; the throughput-oriented kernels
+  // must reproduce its trajectory bit for bit.
+  EXPECT_EQ(trajectory_hash(5), 0xaad54f1bfaea3693ull);
+  EXPECT_EQ(trajectory_hash(13), 0xe17c8a068830fe3cull);
+  EXPECT_EQ(trajectory_hash(30), 0xf91fd0e51c55a93full);
 }
 
 }  // namespace

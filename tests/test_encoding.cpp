@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 
 #include "core/rng.hpp"
@@ -32,6 +34,28 @@ TEST(Encoding, ImportanceOrderAlwaysPermutation) {
     std::array<double, 6> imp{};
     for (auto& v : imp) v = rng.uniform();
     EXPECT_TRUE(mapping::is_valid_order(order_from_importance(imp)));
+  }
+}
+
+TEST(Encoding, ImportanceRankMatchesStableSort) {
+  // The decode ranks genes by descending importance with a stable sort's
+  // tie order. Values drawn from a few levels force many ties.
+  core::Rng rng(29);
+  for (int i = 0; i < 2000; ++i) {
+    std::array<double, 6> imp{};
+    for (auto& v : imp) v = rng.uniform_int(0, 3) * 0.25;
+    std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
+    std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
+      return imp[static_cast<std::size_t>(a)] >
+             imp[static_cast<std::size_t>(b)];
+    });
+    const auto order = order_from_importance(imp);
+    const auto parallel = parallel_from_importance(imp, 6);
+    for (std::size_t k = 0; k < 6; ++k) {
+      const nn::Dim want = searchable_dims()[static_cast<std::size_t>(idx[k])];
+      EXPECT_EQ(order[k + 1], want);
+      EXPECT_EQ(parallel[k], want);
+    }
   }
 }
 

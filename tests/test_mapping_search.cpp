@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "arch/presets.hpp"
 #include "mapping/canonical.hpp"
 #include "mapping/legality.hpp"
+#include "search/cma_es.hpp"
 
 namespace naas::search {
 namespace {
@@ -73,6 +76,49 @@ TEST(MappingSearch, SearchImprovesOverCanonicalOnSomeLayer) {
     if (res.best_edp < best_canonical * 0.999) strict_improvement = true;
   }
   EXPECT_TRUE(strict_improvement);
+}
+
+TEST(MappingSearch, MatchesPlainAskTellLoopAtEveryBudget) {
+  // A chain skips the last generation's tell (that update would never be
+  // sampled) but must apply every earlier one, so at each budget it finds
+  // exactly what a plain ask/evaluate/tell loop finds. Unseeded: the best
+  // comes from the CMA samples alone.
+  const cost::CostModel model;
+  const auto arch = arch::nvdla_256_arch();
+  const nn::Workload layers[] = {
+      nn::make_conv("a", 64, 128, 3, 1, 28),
+      nn::make_conv("b", 256, 256, 3, 1, 14),
+      nn::make_dwconv("c", 96, 3, 1, 56),
+  };
+  for (const nn::Workload& layer : layers) {
+    MappingSearchOptions opts = small_budget();
+    opts.seed_canonical = false;
+    CmaEsOptions cma_opts;
+    cma_opts.dim = opts.encoding.genome_size();
+    cma_opts.population = opts.population;
+    cma_opts.seed = opts.seed;
+    CmaEs cma(cma_opts);
+    const cost::LayerContext ctx = model.make_context(arch, layer);
+    double best = std::numeric_limits<double>::infinity();
+    for (int budget = 1; budget <= 6; ++budget) {
+      const auto pop = cma.ask();
+      std::vector<mapping::Mapping> maps;
+      for (const auto& genome : pop)
+        maps.push_back(opts.encoding.decode(genome, arch, layer));
+      std::vector<cost::CostReport> reports(maps.size());
+      model.evaluate_batch(ctx, maps, reports);
+      std::vector<double> fitness;
+      for (const cost::CostReport& rep : reports) {
+        fitness.push_back(rep.legal ? rep.edp
+                                    : std::numeric_limits<double>::infinity());
+        best = std::min(best, fitness.back());
+      }
+      cma.tell(pop, fitness);
+      opts.iterations = budget;
+      EXPECT_EQ(search_mapping(model, arch, layer, opts).best_edp, best)
+          << layer.name << " at " << budget << " generations";
+    }
+  }
 }
 
 TEST(MappingSearch, DeterministicForSeed) {

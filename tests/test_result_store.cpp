@@ -15,12 +15,13 @@
 #include "core/serialize.hpp"
 #include "nn/network.hpp"
 #include "search/accelerator_search.hpp"
+#include "test_paths.hpp"
 
 namespace naas {
 namespace {
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_store_" + name + ".bin";
+  return test::unique_temp_path("store_" + name + ".bin");
 }
 
 search::MappingSearchResult sample_result() {

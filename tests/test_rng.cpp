@@ -93,12 +93,6 @@ TEST(Rng, NormalWithMeanAndStddev) {
   EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(Rng, NormalVectorHasRequestedSize) {
-  Rng rng(2);
-  EXPECT_EQ(rng.normal_vector(17).size(), 17u);
-  EXPECT_TRUE(rng.normal_vector(0).empty());
-}
-
 TEST(Rng, BernoulliProbability) {
   Rng rng(31);
   int hits = 0;

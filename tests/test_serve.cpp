@@ -12,6 +12,7 @@
 #include "search/result_store.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "test_paths.hpp"
 
 namespace naas {
 namespace {
@@ -21,7 +22,7 @@ using serve::Json;
 using serve::ServeOptions;
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_serve_" + name + ".bin";
+  return test::unique_temp_path("serve_" + name + ".bin");
 }
 
 /// Tiny budget keeps searches fast; tests only need determinism.

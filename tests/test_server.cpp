@@ -177,11 +177,15 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   // queue for the full first evaluation (far over 1 ms), so its default
   // deadline deterministically expires before dispatch.
   opts.max_batch_requests = 1;
-  TestServer ts(opts);
+  // A whole-network evaluation (one search per unique layer) at a
+  // mid-sized mapping budget holds the eval thread for tens of ms; at the
+  // tiny budget it can finish within about 1 ms, so expiry was not assured.
+  ServeOptions serve_opts = tiny_options();
+  serve_opts.mapping.population = 16;
+  serve_opts.mapping.iterations = 8;
+  TestServer ts(opts, serve_opts);
   ASSERT_TRUE(ts.start());
   LineClient client = ts.connect();
-  // A whole-network evaluation (one search per unique layer) holds the
-  // eval thread well past 1 ms; a single tiny search would not.
   ASSERT_TRUE(client.send_raw(
       "{\"id\":1,\"method\":\"evaluate_network\",\"arch\":{\"preset\":"
       "\"nvdla256\"},\"network\":\"resnet50\"}\n"

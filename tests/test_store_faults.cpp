@@ -14,6 +14,7 @@
 #include "search/result_store.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
+#include "test_paths.hpp"
 
 namespace naas {
 namespace {
@@ -26,7 +27,7 @@ using serve::EvalService;
 using serve::ServeOptions;
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_faults_" + name + ".bin";
+  return test::unique_temp_path("faults_" + name + ".bin");
 }
 
 search::MappingSearchResult sample_result(int salt) {

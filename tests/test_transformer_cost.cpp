@@ -24,6 +24,7 @@
 #include "mapping/legality.hpp"
 #include "nn/model_zoo.hpp"
 #include "serve/service.hpp"
+#include "test_paths.hpp"
 #include "test_seed.hpp"
 
 namespace naas::cost {
@@ -320,8 +321,7 @@ TEST(TransformerCostBatch, LegalityReasonsMatchMappingCheck) {
 // ---------------------------------------------------- warm-start identity
 
 TEST(TransformerWarmStart, BertEncoderAnswersBitIdenticalWithZeroSearches) {
-  const std::string store =
-      ::testing::TempDir() + "naas_transformer_warm.bin";
+  const std::string store = test::unique_temp_path("transformer_warm.bin");
   std::remove(store.c_str());
   serve::ServeOptions opts;
   opts.mapping.population = 6;
