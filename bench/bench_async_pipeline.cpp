@@ -1,18 +1,14 @@
 // Async task-graph pipeline: per-candidate barrier scheduling vs one
-// interleaved task graph on a mixed-layer workload, plus the speculative
-// next-generation prefetch. Emits BENCH_async.json for CI trend tracking.
+// interleaved task graph on a mixed-layer workload. Emits BENCH_async.json
+// for CI trend tracking.
 //
-// Two properties are asserted, not assumed:
-//  - bit_identical_to_barrier: the interleaved graph (4 threads) produces
-//    exactly the per-candidate sequential engine's EDPs and work meters;
-//  - speculation_hit_only: run_naas with speculation on (1 and 4 threads)
-//    matches the speculation-off run bit for bit — speculation can warm
-//    the cache, never change an answer.
-// The pool-idle-fraction comparison is the perf story: a barrier between
-// candidates parks every worker on the slowest layer chain's tail, the
-// interleaved graph keeps them fed. (On a 1-core CI box both fractions
-// collapse toward the same value; the assert is the *no-worse* direction,
-// the reduction shows on multi-core hosts.)
+// bit_identical_to_barrier is asserted, not assumed: the interleaved graph
+// (4 threads) produces exactly the per-candidate sequential engine's EDPs
+// and work meters. The pool-idle-fraction comparison is the perf story: a
+// barrier between candidates parks every worker on the slowest layer
+// chain's tail, the interleaved graph keeps them fed. (On a 1-core CI box
+// both fractions collapse toward the same value; the assert is the
+// *no-worse* direction, the reduction shows on multi-core hosts.)
 
 #include "bench_common.hpp"
 
@@ -95,27 +91,6 @@ ModeResult run_async(const cost::CostModel& model,
   return out;
 }
 
-bool same_naas_outcome(const search::NaasResult& a,
-                       const search::NaasResult& b) {
-  bool same = a.best_geomean_edp == b.best_geomean_edp &&
-              search::arch_fingerprint(a.best_arch) ==
-                  search::arch_fingerprint(b.best_arch) &&
-              a.cost_evaluations == b.cost_evaluations &&
-              a.mapping_searches == b.mapping_searches &&
-              a.population_best_edp == b.population_best_edp &&
-              a.population_mean_edp == b.population_mean_edp &&
-              a.best_networks.size() == b.best_networks.size();
-  if (same) {
-    for (std::size_t i = 0; i < a.best_networks.size(); ++i)
-      same = same &&
-             a.best_networks[i].edp == b.best_networks[i].edp &&
-             a.best_networks[i].latency_cycles ==
-                 b.best_networks[i].latency_cycles &&
-             a.best_networks[i].energy_nj == b.best_networks[i].energy_nj;
-  }
-  return same;
-}
-
 void reproduce_async(const bench::Budget& budget) {
   bench::print_header(
       "Async pipeline: barrier-between-candidates vs interleaved graph");
@@ -152,56 +127,6 @@ void reproduce_async(const bench::Budget& budget) {
   std::printf("bit-identical to barrier engine: %s\n",
               identical ? "yes" : "NO (BUG)");
 
-  // Speculative prefetch: the same search with speculation off, on at one
-  // thread, and on at four threads must be indistinguishable in every
-  // visible output — speculation is hit-only by construction. The scenario
-  // is a *convergent* regime (sizing-only genome, large population, enough
-  // generations for CMA to concentrate): the decode-bucket predictor can
-  // only cash when the distribution's top joint cells carry real mass, so
-  // a diffuse 14-gene opening phase would show a structurally-zero hit
-  // rate and prove nothing. Here the hit rate is positive for every seed
-  // we've swept, which makes the divergence check meaningful too.
-  bench::print_header("Speculation: on/off and 1/4-thread divergence check");
-  search::NaasOptions nopts = budget.naas_options(arch::eyeriss_resources());
-  nopts.population = 20;
-  nopts.iterations = 15;
-  nopts.mapping.population = 6;
-  nopts.mapping.iterations = 3;
-  nopts.search_connectivity = false;
-  const std::vector<nn::Network> nets{net};
-
-  search::NaasOptions off = nopts;
-  off.speculate = false;
-  off.num_threads = 1;
-  const auto res_off = search::run_naas(model, off, nets);
-
-  search::NaasOptions on1 = nopts;
-  on1.speculate = true;
-  on1.num_threads = 1;
-  const auto res_on1 = search::run_naas(model, on1, nets);
-
-  search::NaasOptions on4 = on1;
-  on4.num_threads = 4;
-  const auto res_on4 = search::run_naas(model, on4, nets);
-
-  const bool hit_only = same_naas_outcome(res_off, res_on1) &&
-                        same_naas_outcome(res_off, res_on4);
-
-  std::printf("speculation off:        %lld searches, %lld spec hits, %lld "
-              "wasted\n",
-              res_off.mapping_searches, res_off.speculative_hits,
-              res_off.speculative_wasted);
-  std::printf("speculation on (1 thr): %lld searches, %lld spec hits, %lld "
-              "wasted\n",
-              res_on1.mapping_searches, res_on1.speculative_hits,
-              res_on1.speculative_wasted);
-  std::printf("speculation on (4 thr): %lld searches, %lld spec hits, %lld "
-              "wasted\n",
-              res_on4.mapping_searches, res_on4.speculative_hits,
-              res_on4.speculative_wasted);
-  std::printf("speculation hit-only (zero divergence): %s\n",
-              hit_only ? "yes" : "NO (BUG)");
-
   FILE* f = std::fopen("BENCH_async.json", "w");
   if (!f) {
     std::printf("could not open BENCH_async.json for writing\n");
@@ -226,17 +151,8 @@ void reproduce_async(const bench::Budget& budget) {
                barrier.tasks_executed);
   std::fprintf(f, "  \"async_tasks_executed\": %lld,\n",
                async.tasks_executed);
-  std::fprintf(f, "  \"speculation_scenario\": \"sizing_only_pop20_it15\",\n");
-  std::fprintf(f, "  \"speculative_searches\": %lld,\n",
-               res_on1.mapping_searches);
-  std::fprintf(f, "  \"speculative_hits\": %lld,\n",
-               res_on1.speculative_hits);
-  std::fprintf(f, "  \"speculative_wasted\": %lld,\n",
-               res_on1.speculative_wasted);
-  std::fprintf(f, "  \"bit_identical_to_barrier\": %s,\n",
+  std::fprintf(f, "  \"bit_identical_to_barrier\": %s\n",
                identical ? "true" : "false");
-  std::fprintf(f, "  \"speculation_hit_only\": %s\n",
-               hit_only ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_async.json\n");

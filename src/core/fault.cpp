@@ -10,7 +10,7 @@ namespace naas::core {
 namespace {
 
 /// splitmix64: the decision stream. Statistically fine for fault dice and,
-/// unlike rng_stream, needs no sequencing state — decision k at a site is
+/// unlike a seeded Rng, needs no sequencing state — decision k at a site is
 /// a pure function of (seed, site, k).
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;

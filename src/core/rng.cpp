@@ -67,13 +67,4 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
-  // SplitMix64 finalizer applied twice, folding the stream id in between:
-  // adjacent (seed, stream) pairs land in uncorrelated states.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1u);
-  z = (z ^ (z >> 30u)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27u)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31u);
-}
-
 }  // namespace naas::core

@@ -65,16 +65,4 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// Derives the seed of an independent substream from a base seed and a
-/// stream id (SplitMix64 finalization over both). The task-graph pipeline
-/// keys every auxiliary generator — e.g. the per-generation speculative
-/// resampling streams — off the primary seed this way, so auxiliary draws
-/// never advance (and therefore never perturb) the optimizer's own stream.
-std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream);
-
-/// Convenience: an Rng seeded with stream_seed(seed, stream).
-inline Rng rng_stream(std::uint64_t seed, std::uint64_t stream) {
-  return Rng(stream_seed(seed, stream));
-}
-
 }  // namespace naas::core

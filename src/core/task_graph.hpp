@@ -30,24 +30,15 @@ namespace naas::core {
 ///  2. *Nested submission*: a task body may submit further tasks (the
 ///     continuation style the search pipeline uses to schedule generation
 ///     g+1 from generation g's completion) and may fulfill promises.
-///  3. *Priorities*: kSpeculative tasks are claimed only when no kNormal
-///     task is ready — speculative evaluation soaks up straggler idle time
-///     without ever delaying real work.
-///  4. *Serial fallback*: with a null/serial pool, run() executes ready
-///     tasks inline in deterministic (id, priority) order; combined with
-///     rule 1 this is byte-identical to any parallel run.
-///  5. *Errors*: the first exception cancels all remaining tasks (their
+///  3. *Serial fallback*: with a null/serial pool, run() executes ready
+///     tasks inline, lowest id first; combined with rule 1 this is
+///     byte-identical to any parallel run.
+///  4. *Errors*: the first exception cancels all remaining tasks (their
 ///     bodies are skipped, unfulfilled promises are force-completed) and is
 ///     rethrown from run().
 class TaskGraph {
  public:
   using TaskId = std::uint64_t;
-
-  enum class Priority {
-    kNormal,       ///< real work: always claimed first
-    kSpeculative,  ///< idle-time prefetch: claimed only when nothing normal
-                   ///< is ready
-  };
 
   /// Work-accounting for the scheduler; see ArchEvaluator's meters and
   /// bench_async_pipeline's idle-fraction measurement.
@@ -77,8 +68,7 @@ class TaskGraph {
   /// Registers a task. It becomes ready once every id in `deps` has
   /// completed (ids of already-completed tasks are allowed and count as
   /// satisfied). Never blocks; call from anywhere, including task bodies.
-  TaskId submit(std::function<void()> fn, const std::vector<TaskId>& deps = {},
-                Priority priority = Priority::kNormal);
+  TaskId submit(std::function<void()> fn, const std::vector<TaskId>& deps = {});
 
   /// Creates a completion placeholder with no body: dependents become ready
   /// only when fulfill() is called. This is how a dynamically-growing chain
@@ -89,14 +79,6 @@ class TaskGraph {
   /// Completes `promise` (exactly once, typically from the chain's final
   /// continuation body).
   void fulfill(TaskId promise);
-
-  /// Raises a live kSpeculative task to kNormal (moving it out of the
-  /// idle-priority ready set if it is queued there). No-op for completed
-  /// or already-normal tasks. This is how a speculatively submitted chain
-  /// is promoted when real work starts depending on it — without this its
-  /// remaining tasks would run only at pool idle, making the needed chain
-  /// the critical-path straggler.
-  void promote(TaskId id);
 
   /// Drives the graph to quiescence: returns when every submitted task
   /// (including ones submitted by task bodies while running) has completed.
@@ -116,7 +98,6 @@ class TaskGraph {
     std::function<void()> fn;        ///< empty for promises
     std::vector<TaskId> dependents;  ///< ids waiting on this task
     int unmet = 0;                   ///< outstanding dependencies
-    Priority priority = Priority::kNormal;
     bool is_promise = false;
   };
 
@@ -124,10 +105,8 @@ class TaskGraph {
   void run_serial();
   /// Executes one claimed task body outside the lock; returns holding it.
   void execute(TaskId id, std::unique_lock<std::mutex>& lk);
-  void push_ready_locked(TaskId id, Priority priority);
-  bool ready_empty_locked() const {
-    return ready_normal_.empty() && ready_speculative_.empty();
-  }
+  /// Claims the lowest ready id (oldest submission): the serial mode's
+  /// deterministic execution order, and a sensible parallel claim order.
   TaskId pop_ready_locked();
   void complete_locked(TaskId id);
   void cancel_remaining_locked();
@@ -136,8 +115,7 @@ class TaskGraph {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::map<TaskId, Task> tasks_;  ///< live (not yet completed) tasks
-  std::set<TaskId> ready_normal_;
-  std::set<TaskId> ready_speculative_;
+  std::set<TaskId> ready_;
   TaskId next_id_ = 1;
   std::size_t pending_ = 0;  ///< live tasks, including running and promises
   int running_ = 0;          ///< bodies currently executing

@@ -100,13 +100,10 @@ struct CoSearchResult {
   /// Batched-cost-model meters (see ArchEvaluator::generations_batched).
   long long generations_batched = 0;
   long long candidates_batch_evaluated = 0;
-  /// Scheduler work meters (see ArchEvaluator::tasks_executed): task-graph
-  /// tasks run by the shared evaluator's pipelines, and speculative-entry
-  /// hits/waste (zero unless a warm store carried speculative entries —
-  /// the co-search itself evaluates candidate-at-a-time, so its layer
-  /// chains interleave within each EDP query rather than across outer
-  /// generations).
+  /// Scheduler work meter (see ArchEvaluator::tasks_executed): task-graph
+  /// tasks run by the shared evaluator's pipelines.
   long long tasks_executed = 0;
+  /// Always 0: speculative prefetch was removed; kept so readers compile.
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
   /// Surrogate-pruning meters (see CoSearchOptions::surrogate): bound

@@ -13,7 +13,6 @@
 #include "core/timer.hpp"
 #include "search/cma_es.hpp"
 #include "search/eval_pipeline.hpp"
-#include "search/speculation.hpp"
 
 namespace naas::search {
 namespace {
@@ -83,8 +82,7 @@ MappingSearchOptions ArchEvaluator::layer_options(
   MappingSearchOptions opts = mapping_;
   // Layer-dependent seed keeps runs deterministic while decorrelating
   // searches across layers. Crucially the seed does NOT depend on
-  // evaluation/request order, so concurrent (and speculative) cache fills
-  // are reproducible.
+  // evaluation/request order, so concurrent cache fills are reproducible.
   opts.seed = mapping_.seed ^ nn::LayerShapeHash{}(layer);
   return opts;
 }
@@ -94,33 +92,6 @@ void ArchEvaluator::record_real_publish(const MappingSearchResult& entry) {
   mapping_searches_.fetch_add(1);
   generations_batched_.fetch_add(entry.generations_batched);
   candidates_batch_evaluated_.fetch_add(entry.candidates_batch_evaluated);
-}
-
-void ArchEvaluator::record_speculative_publish(std::uint64_t key) {
-  std::lock_guard<std::mutex> lk(speculative_mutex_);
-  speculative_unclaimed_.insert(key);
-  // Tag the resident entry so store snapshots skip it until first real
-  // touch: dead speculation must never bloat a persistent store. The
-  // shard lock nests inside speculative_mutex_ (see the lock-hierarchy
-  // note in eval_pipeline.cpp), keeping tag and bookkeeping atomic.
-  cache_.mark_speculative(key);
-}
-
-void ArchEvaluator::claim_speculative(std::uint64_t key) {
-  {
-    std::lock_guard<std::mutex> lk(speculative_mutex_);
-    if (speculative_unclaimed_.erase(key) == 0) return;
-    // Untag under the same lock that tagged it; the entry re-enters
-    // snapshot visibility with a fresh sequence number so incremental
-    // flushes that already passed its original mark still pick it up.
-    cache_.claim_speculative(key);
-  }
-  speculative_hits_.fetch_add(1);
-  // Transfer the entry's meters into the real counters: this is the moment
-  // the barrier engine would have paid for the search, so the real meters
-  // end up identical with speculation on or off.
-  if (const MappingSearchResult* entry = cache_.find(key))
-    record_real_publish(*entry);
 }
 
 void ArchEvaluator::absorb_scheduler_stats(
@@ -138,11 +109,6 @@ long long ArchEvaluator::tasks_executed() const {
   return sched_stats_.tasks_executed;
 }
 
-long long ArchEvaluator::speculative_wasted() const {
-  std::lock_guard<std::mutex> lk(speculative_mutex_);
-  return static_cast<long long>(speculative_unclaimed_.size());
-}
-
 core::TaskGraph::Stats ArchEvaluator::scheduler_stats() const {
   std::lock_guard<std::mutex> lk(sched_mutex_);
   return sched_stats_;
@@ -151,12 +117,7 @@ core::TaskGraph::Stats ArchEvaluator::scheduler_stats() const {
 const MappingSearchResult& ArchEvaluator::best_mapping(
     const arch::ArchConfig& arch, const nn::Workload& layer) {
   const std::uint64_t key = cache_key(arch, layer);
-  if (const MappingSearchResult* hit = cache_.find(key)) {
-    // A speculatively prefetched entry becomes real work the first time a
-    // real caller touches it.
-    claim_speculative(key);
-    return *hit;
-  }
+  if (const MappingSearchResult* hit = cache_.find(key)) return *hit;
 
   core::TaskGraph graph(pool_);
   MappingSearchResult res;
@@ -216,7 +177,7 @@ cost::NetworkCost ArchEvaluator::evaluate(const arch::ArchConfig& arch,
     // interleaving on one graph. Skipped entirely on a fully warm cache.
     EvalPipeline pipeline(*this);
     std::vector<core::TaskGraph::TaskId> deps;
-    pipeline.request_network(arch, net, /*speculative=*/false, &deps);
+    pipeline.request_network(arch, net, &deps);
     if (!deps.empty()) pipeline.run();
   }
   return assemble_network(arch, net);
@@ -243,8 +204,7 @@ std::vector<double> ArchEvaluator::evaluate_population(
   // layer of candidate 3 no longer stalls the scoring of candidate 7.
   EvalPipeline pipeline(*this);
   for (std::size_t i = 0; i < archs.size(); ++i) {
-    const auto deps =
-        pipeline.request_benchmarks(archs[i], benchmarks, /*speculative=*/false);
+    const auto deps = pipeline.request_benchmarks(archs[i], benchmarks);
     pipeline.graph().submit(
         [this, archs, &benchmarks, &edps, i] {
           edps[i] = assembled_geomean(archs[i], benchmarks);
@@ -302,12 +262,11 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     return hw.valid(genome);
   };
 
-  // The whole evolution — seed scoring, every generation, and the
-  // speculative prefetch — lives on ONE task graph. Candidates report
-  // fitness through CmaEs::tell_partial as they finish; the report that
-  // completes a generation schedules the next one from inside its own
-  // task, so there is no join anywhere between the start of the search
-  // and quiescence.
+  // The whole evolution — seed scoring and every generation — lives on ONE
+  // task graph. Candidates report fitness through CmaEs::tell_partial as
+  // they finish; the report that completes a generation schedules the next
+  // one from inside its own task, so there is no join anywhere between the
+  // start of the search and quiescence.
   EvalPipeline pipeline(evaluator);
   core::TaskGraph& graph = pipeline.graph();
   const core::TaskGraph::TaskId evolution_done = graph.make_promise();
@@ -329,62 +288,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     /// admitted results are in (see resolve_pruned_locked).
     std::vector<std::pair<std::size_t, double>> pruned;
   } outer;
-
-  // Requests every unique (candidate, layer) chain the candidate needs;
-  // the returned ids gate the candidate's assembly task.
-  const auto request_layers = [&](const arch::ArchConfig& cfg,
-                                  bool speculative) {
-    return pipeline.request_benchmarks(cfg, benchmarks, speculative);
-  };
-
-  // Speculative prefetch (ROADMAP's async item): while the just-submitted
-  // generation drains, pre-evaluate the decoded architectures the *next*
-  // generation is most likely to contain. The decode-bucket predictor
-  // (search/speculation.*) enumerates the highest-probability quantization
-  // cells of the current CMA distribution per gene and composes the top-K
-  // joint decodes — it reads only the distribution's mean and marginal
-  // deviations, never a generator, so the optimizer's stream is untouched
-  // and the predicted set is a pure function of the distribution. Requests
-  // go in at idle priority under the standard cache keys: speculation can
-  // only produce future hits, never different results.
-  //
-  // Self-limiting, re-armable: predictions cash only while the sampler
-  // keeps landing in the predicted decode cells — which happens when the
-  // distribution has concentrated enough that its top joint cells carry
-  // real mass, i.e. mid-to-late search, not at the diffuse start. After
-  // kSpeculationProbeRounds consecutive rounds with no NEW hit the planner
-  // parks; while parked it still probes one round every
-  // kSpeculationReprobeRounds planning opportunities, so a search that
-  // converges long after the opening rounds still discovers that
-  // speculation has started paying. Any hit (including a straggling
-  // speculative chain claimed while parked) fully re-arms continuous
-  // planning. The gate reads only deterministic meters at structurally
-  // fixed points, so the planned request set — and with it every meter —
-  // stays identical for every thread count.
-  constexpr int kSpeculationProbeRounds = 3;
-  constexpr int kSpeculationReprobeRounds = 4;
-  int hitless_rounds = 0;
-  int parked_rounds = 0;
-  long long last_seen_hits = 0;
-  const auto plan_speculation = [&] {
-    if (!options.speculate) return;
-    const long long hits = evaluator.speculative_hits();
-    if (hits > last_seen_hits) {
-      last_seen_hits = hits;
-      hitless_rounds = 0;
-      parked_rounds = 0;
-    }
-    if (hitless_rounds >= kSpeculationProbeRounds) {
-      if (++parked_rounds < kSpeculationReprobeRounds) return;
-      parked_rounds = 0;  // periodic probe while parked
-    } else {
-      ++hitless_rounds;
-    }
-    SpeculationPredictorOptions predictor;
-    predictor.top_k = options.population;
-    for (const auto& cand : predict_decode_buckets(cma, hw, predictor))
-      request_layers(cand.config, /*speculative=*/true);
-  };
 
   std::function<void()> start_generation;  // assigned below; tasks recurse
 
@@ -468,7 +371,8 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
         // the returned best. The bound stands in as its fitness.
         report_locked(k, lb);
       } else {
-        const auto deps = request_layers(outer.configs[k], false);
+        const auto deps =
+            pipeline.request_benchmarks(outer.configs[k], benchmarks);
         graph.submit(
             [&outer, &evaluator, &benchmarks, &report, k] {
               report(k,
@@ -493,10 +397,9 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   };
 
   // Samples a generation, submits one assembly task per admitted genome
-  // (gated on exactly its layer chains), plans speculation for the
-  // generation after, and reports infeasible genomes immediately.
-  // Surrogate-deferred genomes resolve when the admitted results are in.
-  // Called with outer.mutex held.
+  // (gated on exactly its layer chains), and reports infeasible genomes
+  // immediately. Surrogate-deferred genomes resolve when the admitted
+  // results are in. Called with outer.mutex held.
   start_generation = [&] {
     const auto& population = cma.begin_generation(is_valid);
     const std::size_t lambda = population.size();
@@ -538,7 +441,8 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     }
     outer.admitted_pending = admitted.size();
     for (const std::size_t k : admitted) {
-      const auto deps = request_layers(outer.configs[k], false);
+      const auto deps =
+          pipeline.request_benchmarks(outer.configs[k], benchmarks);
       graph.submit(
           [&outer, &evaluator, &benchmarks, &report_admitted, k] {
             // Pure assembly: this task is gated on exactly its layer
@@ -548,7 +452,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
           },
           deps);
     }
-    plan_speculation();
     // Infeasible genomes cost nothing to score; reporting them last keeps
     // a generation with no admitted candidate correct (the final report
     // completes the generation and recurses into the next one right here).
@@ -563,8 +466,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   // Warm start: evaluate the seed designs (reference baseline + any user
   // seeds) so the returned best is never worse than the known design run
   // with NAAS's mapping search. The seeds score as ordinary tasks on the
-  // same graph; their completion starts generation 0, and generation 0's
-  // predicted candidates prefetch while the seeds drain.
+  // same graph; their completion starts generation 0.
   std::vector<arch::ArchConfig> eligible;
   {
     std::vector<arch::ArchConfig> seeds = options.seed_designs;
@@ -590,7 +492,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
                                 std::numeric_limits<double>::infinity());
   std::vector<core::TaskGraph::TaskId> seed_tasks;
   for (std::size_t i = 0; i < eligible.size(); ++i) {
-    const auto deps = request_layers(eligible[i], false);
+    const auto deps = pipeline.request_benchmarks(eligible[i], benchmarks);
     seed_tasks.push_back(graph.submit(
         [&evaluator, &eligible, &benchmarks, &seed_edps, i] {
           seed_edps[i] = evaluator.assembled_geomean(eligible[i], benchmarks);
@@ -614,7 +516,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
         }
       },
       seed_tasks);
-  plan_speculation();
 
   pipeline.run();  // drives the whole evolution; folds scheduler meters
 
@@ -629,8 +530,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   result.generations_batched = evaluator.generations_batched();
   result.candidates_batch_evaluated = evaluator.candidates_batch_evaluated();
   result.tasks_executed = evaluator.tasks_executed();
-  result.speculative_hits = evaluator.speculative_hits();
-  result.speculative_wasted = evaluator.speculative_wasted();
   result.surrogate_consults = evaluator.surrogate_consults();
   result.surrogate_pruned = evaluator.surrogate_pruned();
   result.wall_seconds = timer.seconds();

@@ -57,11 +57,6 @@ void CmaEs::sample_one(std::vector<double>& x) {
     x[s] = std::clamp(mean_[s] + sigma_ * y_[s], 0.0, 1.0);
 }
 
-double CmaEs::marginal_stddev(int i) const {
-  assert(i >= 0 && i < dim_);
-  return sigma_ * std::sqrt(std::max(0.0, cov_(i, i)));
-}
-
 void CmaEs::sample_population(
     const std::function<bool(const std::vector<double>&)>& valid,
     std::vector<std::vector<double>>& pop) {

@@ -6,152 +6,51 @@
 
 namespace naas::search {
 
-// Lock hierarchy: mutex_ (chain bookkeeping) may be held while taking the
-// evaluator's speculative_mutex_, which in turn may take exactly one
-// EvalCache shard lock (the speculative tag travels with the bookkeeping:
-// record_speculative_publish / claim_speculative mark and unmark the
-// resident entry under speculative_mutex_). Nothing else — never the
-// graph mutex. Graph submission and bulk cache access happen unlocked,
-// which is safe because request() is driven from one logical thread at a
-// time (see the header contract); mutex_ exists to order that bookkeeping
-// against concurrently executing publish bodies. No path acquires a shard
-// lock and then mutex_ or speculative_mutex_, so the order is acyclic.
-
 EvalPipeline::EvalPipeline(ArchEvaluator& evaluator)
     : evaluator_(evaluator), graph_(evaluator.pool()) {}
 
 std::optional<core::TaskGraph::TaskId> EvalPipeline::request(
-    const arch::ArchConfig& arch, const nn::Workload& layer,
-    bool speculative) {
+    const arch::ArchConfig& arch, const nn::Workload& layer) {
   const std::uint64_t key = evaluator_.cache_key(arch, layer);
-
-  // Existing chain: promotion bookkeeping under the lock, meter effects
-  // and priority changes (foreign locks) after releasing it.
-  {
-    bool known = false;
-    bool claim = false;
-    bool note_hit = false;
-    std::function<void()> promote_tasks;
-    core::TaskGraph::TaskId promote_publish = 0;
-    std::optional<core::TaskGraph::TaskId> existing;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      const auto it = chains_.find(key);
-      if (it != chains_.end()) {
-        known = true;
-        Chain& chain = it->second;
-        if (!speculative && chain.speculative) {
-          // First real request for a speculatively requested key:
-          // speculation predicted needed work. Promote the accounting AND
-          // the chain's scheduling class — real work now gates on it, so
-          // leaving it at idle priority would make it the generation's
-          // straggler. The chain itself is shared either way (never
-          // re-run).
-          chain.speculative = false;
-          promote_tasks = chain.promote;
-          promote_publish = chain.published;
-          if (chain.publish_done) {
-            claim = true;  // meters transfer from the resident entry
-          } else {
-            note_hit = true;  // pending publish will count the work as real
-          }
-        }
-        if (chain.published != 0) existing = chain.published;
-      }
-    }
-    if (known) {
-      if (promote_tasks) promote_tasks();
-      if (promote_publish != 0) graph_.promote(promote_publish);
-      if (claim) evaluator_.claim_speculative(key);
-      if (note_hit) evaluator_.note_speculative_hit();
-      return existing;
-    }
+  const auto [it, fresh] = chains_.try_emplace(key);
+  Chain& chain = it->second;
+  if (!fresh) {
+    if (chain.published == 0) return std::nullopt;
+    return chain.published;
   }
+  // Resident before this pipeline ever saw the key (warm start or an
+  // earlier pipeline): nothing to run or wait on.
+  if (evaluator_.cache_.find(key) != nullptr) return std::nullopt;
 
-  if (evaluator_.cache_.find(key) != nullptr) {
-    // Resident before this pipeline ever saw the key (warm start, an
-    // earlier pipeline, or an earlier speculative run). A real touch of a
-    // still-unclaimed speculative entry transfers its meters now.
-    if (!speculative) evaluator_.claim_speculative(key);
-    Chain chain;
-    chain.speculative = speculative;
-    chain.publish_done = true;
-    std::lock_guard<std::mutex> lk(mutex_);
-    chains_.emplace(key, std::move(chain));
-    return std::nullopt;
-  }
-
-  // New chain. The record goes into chains_ *before* the tasks exist so a
-  // publish body racing this bookkeeping (impossible for this key — its
-  // tasks are submitted below — but cheap to keep invariant) always finds
-  // its record; `published` is filled before request() returns, which the
-  // single-driver contract makes safe.
-  {
-    Chain chain;
-    chain.result = std::make_unique<MappingSearchResult>();
-    chain.speculative = speculative;
-    std::lock_guard<std::mutex> lk(mutex_);
-    chains_.emplace(key, std::move(chain));
-  }
-
-  const auto priority = speculative ? core::TaskGraph::Priority::kSpeculative
-                                    : core::TaskGraph::Priority::kNormal;
-  MappingSearchResult* slot;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    slot = chains_.at(key).result.get();
-  }
-  MappingSearchChain submitted =
+  chain.result = std::make_unique<MappingSearchResult>();
+  MappingSearchResult* slot = chain.result.get();
+  const core::TaskGraph::TaskId done =
       submit_mapping_search(graph_, evaluator_.model_, arch, layer,
-                            evaluator_.layer_options(layer), slot, priority);
-  const core::TaskGraph::TaskId done = submitted.done;
-  const core::TaskGraph::TaskId published = graph_.submit(
+                            evaluator_.layer_options(layer), slot);
+  chain.published = graph_.submit(
       [this, key, slot] {
         bool inserted = false;
         const MappingSearchResult& entry =
             evaluator_.cache_.publish(key, std::move(*slot), &inserted);
-        bool count_real = false;
-        {
-          std::lock_guard<std::mutex> lk(mutex_);
-          Chain& c = chains_.at(key);
-          c.publish_done = true;
-          if (inserted) {
-            if (c.speculative) {
-              // Registered inside this critical section so a promotion
-              // that observes publish_done always finds the key claimable.
-              evaluator_.record_speculative_publish(key);
-            } else {
-              count_real = true;
-            }
-          }
-        }
-        if (count_real) evaluator_.record_real_publish(entry);
+        if (inserted) evaluator_.record_real_publish(entry);
       },
-      {done}, priority);
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    Chain& chain = chains_.at(key);
-    chain.published = published;
-    if (speculative) chain.promote = std::move(submitted.promote);
-  }
-  return published;
+      {done});
+  return chain.published;
 }
 
 void EvalPipeline::request_network(const arch::ArchConfig& arch,
-                                   const nn::Network& net, bool speculative,
+                                   const nn::Network& net,
                                    std::vector<core::TaskGraph::TaskId>* deps) {
   for (const auto& [layer, count] : net.unique_layers()) {
-    const auto id = request(arch, layer, speculative);
+    const auto id = request(arch, layer);
     if (id && deps != nullptr) deps->push_back(*id);
   }
 }
 
 std::vector<core::TaskGraph::TaskId> EvalPipeline::request_benchmarks(
-    const arch::ArchConfig& arch, const std::vector<nn::Network>& benchmarks,
-    bool speculative) {
+    const arch::ArchConfig& arch, const std::vector<nn::Network>& benchmarks) {
   std::vector<core::TaskGraph::TaskId> deps;
-  for (const auto& net : benchmarks)
-    request_network(arch, net, speculative, &deps);
+  for (const auto& net : benchmarks) request_network(arch, net, &deps);
   return deps;
 }
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -29,10 +28,8 @@ constexpr std::size_t kShardCandidates = 4;
 struct ChainState {
   ChainState(core::TaskGraph& g, const cost::CostModel& m,
              const arch::ArchConfig& a, const nn::Workload& l,
-             const MappingSearchOptions& o, MappingSearchResult* res,
-             core::TaskGraph::Priority p)
-      : graph(g), model(m), arch(a), layer(l), options(o), out(res),
-        priority(p) {}
+             const MappingSearchOptions& o, MappingSearchResult* res)
+      : graph(g), model(m), arch(a), layer(l), options(o), out(res) {}
 
   core::TaskGraph& graph;
   const cost::CostModel& model;
@@ -41,22 +38,6 @@ struct ChainState {
   MappingSearchOptions options;
   MappingSearchResult* out;
   core::TaskGraph::TaskId done = 0;  ///< promise fulfilled by the finale
-
-  /// Priority of new submissions plus the chain's currently live task
-  /// ids, guarded by `admin` so promote() — which may run on another
-  /// thread — flips the class and re-queues the live tasks atomically
-  /// with respect to the continuation that submits the next generation.
-  std::mutex admin;
-  core::TaskGraph::Priority priority;
-  std::vector<core::TaskGraph::TaskId> live_tasks;
-
-  /// Raises queued and future tasks to normal priority. Idempotent.
-  void promote() {
-    std::lock_guard<std::mutex> lk(admin);
-    if (priority == core::TaskGraph::Priority::kNormal) return;
-    priority = core::TaskGraph::Priority::kNormal;
-    for (const core::TaskGraph::TaskId id : live_tasks) graph.promote(id);
-  }
 
   std::optional<cost::LayerContext> ctx;
   std::optional<CmaEs> cma;
@@ -86,8 +67,8 @@ void submit_generation(const std::shared_ptr<ChainState>& st);
 
 /// Chain finale: hand the result to the caller and complete the promise so
 /// dependents (cache publishes, candidate finalizes) become ready. The
-/// optimizer and the per-generation slots are released here: a speculative
-/// chain's promote() handle keeps the state alive until the search ends.
+/// optimizer and the per-generation slots are released here, in the task
+/// body, rather than when the last task closure dies under the graph lock.
 void finish_chain(const std::shared_ptr<ChainState>& st) {
   *st->out = std::move(st->result);
   st->cma.reset();
@@ -111,12 +92,6 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
   st->mappings.assign(n, mapping::Mapping{});
   st->reports.assign(n, cost::CostReport{});
 
-  // Submit the generation under the chain's admin lock: the priority read
-  // and the live-task recording must be atomic against a concurrent
-  // promote(), or a promotion could land between them and miss tasks.
-  std::lock_guard<std::mutex> lk(st->admin);
-  st->live_tasks.clear();
-
   std::vector<core::TaskGraph::TaskId> shard_ids;
   for (std::size_t lo = 0; lo < n; lo += kShardCandidates) {
     const std::size_t hi = std::min(n, lo + kShardCandidates);
@@ -133,13 +108,11 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
               std::span<const mapping::Mapping>(st->mappings)
                   .subspan(lo, hi - lo),
               std::span<cost::CostReport>(st->reports).subspan(lo, hi - lo));
-        },
-        {}, st->priority));
-    st->live_tasks.push_back(shard_ids.back());
+        }));
   }
 
   const auto num_shards = static_cast<long long>(shard_ids.size());
-  st->live_tasks.push_back(st->graph.submit(
+  st->graph.submit(
       [st, n, num_shards] {
         st->result.tasks_executed += 1 + num_shards;
         ++st->result.generations_batched;
@@ -155,21 +128,19 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
         ++st->iter;
         submit_generation(st);
       },
-      shard_ids, st->priority));
+      shard_ids);
 }
 
 }  // namespace
 
-MappingSearchChain submit_mapping_search(
+core::TaskGraph::TaskId submit_mapping_search(
     core::TaskGraph& graph, const cost::CostModel& model,
     const arch::ArchConfig& arch, const nn::Workload& layer,
-    const MappingSearchOptions& options, MappingSearchResult* out,
-    core::TaskGraph::Priority priority) {
+    const MappingSearchOptions& options, MappingSearchResult* out) {
   auto st = std::make_shared<ChainState>(graph, model, arch, layer, options,
-                                         out, priority);
+                                         out);
   st->done = graph.make_promise();
-  std::lock_guard<std::mutex> lk(st->admin);  // pairs with promote()
-  st->live_tasks.push_back(graph.submit(
+  graph.submit(
       [st] {
         ++st->result.tasks_executed;
         st->result.best_edp = std::numeric_limits<double>::infinity();
@@ -199,12 +170,8 @@ MappingSearchChain submit_mapping_search(
         cma_opts.seed = st->options.seed;
         st->cma.emplace(cma_opts);
         submit_generation(st);
-      },
-      {}, priority));
-  MappingSearchChain chain;
-  chain.done = st->done;
-  chain.promote = [st] { st->promote(); };
-  return chain;
+      });
+  return st->done;
 }
 
 MappingSearchResult search_mapping(const cost::CostModel& model,

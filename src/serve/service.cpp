@@ -141,8 +141,7 @@ std::vector<Json> EvalService::handle_batch(const std::vector<Json>& requests) {
   search::EvalPipeline pipeline(evaluator_);
   bool any_chain = false;
   for (const auto& [arch, layer] : tasks)
-    if (pipeline.request(*arch, *layer, /*speculative=*/false))
-      any_chain = true;
+    if (pipeline.request(*arch, *layer)) any_chain = true;
   if (any_chain) pipeline.run();
 
   std::vector<Json> responses;
@@ -338,9 +337,6 @@ Json EvalService::cache_stats_json() const {
   obj.set("candidates_batch_evaluated",
           Json::integer(evaluator_.candidates_batch_evaluated()));
   obj.set("tasks_executed", Json::integer(evaluator_.tasks_executed()));
-  obj.set("speculative_hits", Json::integer(evaluator_.speculative_hits()));
-  obj.set("speculative_wasted",
-          Json::integer(evaluator_.speculative_wasted()));
   // Surrogate-pruning meters: the serving path itself consults no bounds
   // (it evaluates every request), so these stay 0 unless a warm-started
   // search driver shares the evaluator; surfaced for parity with the

@@ -11,8 +11,6 @@
 #include "nn/model_zoo.hpp"
 #include "search/accelerator_search.hpp"
 #include "search/cma_es.hpp"
-#include "search/eval_pipeline.hpp"
-#include "search/speculation.hpp"
 
 namespace naas {
 namespace {
@@ -106,36 +104,21 @@ TEST(TaskGraph, PromiseGatesDependentsUntilFulfilled) {
   }
 }
 
-TEST(TaskGraph, SpeculativeTasksRunAfterNormalInSerialMode) {
+TEST(TaskGraph, SerialModeRunsReadyTasksLowestIdFirst) {
   core::TaskGraph graph(nullptr);
   std::vector<int> order;
-  graph.submit([&] { order.push_back(2); }, {},
-               core::TaskGraph::Priority::kSpeculative);
-  graph.submit([&] { order.push_back(0); });
-  graph.submit([&] { order.push_back(1); });
+  // ids 1..4. Task 1 readies task 3 and submits task 5 while 2 and 4 are
+  // already ready; every pick takes the lowest ready id, so 3 (readied
+  // late) still runs before 4, and 5 (submitted last) runs last.
+  const auto first = graph.submit([&] {
+    order.push_back(1);
+    graph.submit([&] { order.push_back(5); });
+  });
+  graph.submit([&] { order.push_back(2); });
+  graph.submit([&] { order.push_back(3); }, {first});
+  graph.submit([&] { order.push_back(4); });
   graph.run();
-  // Normal work preempts speculation even though the speculative task was
-  // submitted first; all tasks still run before quiescence.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 1);
-  EXPECT_EQ(order[2], 2);
-}
-
-TEST(TaskGraph, PromoteMovesSpeculativeTaskToNormalClass) {
-  core::TaskGraph graph(nullptr);
-  std::vector<int> order;
-  const auto spec = graph.submit([&] { order.push_back(0); }, {},
-                                 core::TaskGraph::Priority::kSpeculative);
-  graph.submit([&] { order.push_back(1); });
-  graph.promote(spec);
-  graph.run();
-  // Promoted before running: competes in the normal class and wins by id
-  // order (un-promoted it would run last; see the test above).
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 0);
-  // Promoting a completed task is a harmless no-op.
-  graph.promote(spec);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 // ---------------------------------------------------------------- errors
@@ -252,48 +235,9 @@ TEST(CmaEsStepApi, TellPartialMatchesBarrierAskTell) {
   }
 }
 
-TEST(CmaEsStepApi, SpeculationPredictorLeavesOptimizerStreamUntouched) {
-  const search::HwEncodingSpec hw = search::make_hw_spec(
-      arch::eyeriss_resources(), search::OrderEncoding::kImportance, true);
-  search::CmaEsOptions opts;
-  opts.dim = hw.genome_size();
-  opts.population = 6;
-  opts.seed = 7;
-  search::CmaEs a(opts);
-  search::CmaEs b(opts);
+// ------------------------------------------- run_naas thread invariance
 
-  // Predict from `a` only — repeatedly. The predictor reads the
-  // distribution, never a generator, so `a`'s primary stream must stay in
-  // lockstep with the untouched twin.
-  const auto first = search::predict_decode_buckets(a, hw);
-  ASSERT_FALSE(first.empty());
-  for (int i = 0; i < 5; ++i) {
-    const auto again = search::predict_decode_buckets(a, hw);
-    ASSERT_EQ(again.size(), first.size()) << i;  // pure function
-    for (std::size_t k = 0; k < first.size(); ++k) {
-      EXPECT_EQ(search::arch_fingerprint(again[k].config),
-                search::arch_fingerprint(first[k].config));
-      EXPECT_EQ(again[k].mass, first[k].mass);
-    }
-  }
-  // Candidates come out in non-increasing joint-mass order, inside the
-  // resource envelope, and fingerprint-distinct.
-  for (std::size_t k = 0; k < first.size(); ++k) {
-    EXPECT_GT(first[k].mass, 0.0);
-    EXPECT_LE(first[k].mass, 1.0);
-    if (k > 0) EXPECT_GE(first[k - 1].mass, first[k].mass);
-    EXPECT_TRUE(hw.resources.allows(first[k].config));
-    for (std::size_t j = 0; j < k; ++j)
-      EXPECT_NE(search::arch_fingerprint(first[j].config),
-                search::arch_fingerprint(first[k].config));
-  }
-
-  EXPECT_EQ(a.ask(), b.ask());
-}
-
-// --------------------------------------------- speculation regression
-
-search::NaasOptions tiny_naas(int threads, bool speculate) {
+search::NaasOptions tiny_naas(int threads) {
   search::NaasOptions opts;
   opts.resources = arch::eyeriss_resources();
   opts.population = 6;
@@ -302,80 +246,39 @@ search::NaasOptions tiny_naas(int threads, bool speculate) {
   opts.mapping.population = 6;
   opts.mapping.iterations = 3;
   opts.num_threads = threads;
-  opts.speculate = speculate;
   return opts;
 }
 
-TEST(Speculation, MissesNeverMutateVisibleResults) {
-  // The regression the hit-only design guarantees: speculative evaluation
-  // (which, on this encoding, predicts mostly configs the real search
-  // never visits) must not change ANY visible result or real work meter —
-  // at 1 thread and at 4.
+TEST(NaasSearch, BitIdenticalAcrossThreadCounts) {
+  // The whole evolution runs on one task graph; every visible result and
+  // work meter must be the same whether one thread or four claim its tasks.
   const cost::CostModel model;
   const std::vector<nn::Network> benchmarks{nn::make_network("cifarnet")};
 
-  const auto off = search::run_naas(model, tiny_naas(1, false), benchmarks);
-  for (int threads : {1, 4}) {
-    const auto on =
-        search::run_naas(model, tiny_naas(threads, true), benchmarks);
-    EXPECT_EQ(on.best_geomean_edp, off.best_geomean_edp) << threads;
-    EXPECT_EQ(search::arch_fingerprint(on.best_arch),
-              search::arch_fingerprint(off.best_arch))
-        << threads;
-    EXPECT_EQ(on.cost_evaluations, off.cost_evaluations) << threads;
-    EXPECT_EQ(on.mapping_searches, off.mapping_searches) << threads;
-    EXPECT_EQ(on.generations_batched, off.generations_batched) << threads;
-    ASSERT_EQ(on.population_best_edp.size(), off.population_best_edp.size());
-    for (std::size_t i = 0; i < on.population_best_edp.size(); ++i) {
-      EXPECT_EQ(on.population_best_edp[i], off.population_best_edp[i]);
-      EXPECT_EQ(on.population_mean_edp[i], off.population_mean_edp[i]);
-    }
-    ASSERT_EQ(on.best_networks.size(), off.best_networks.size());
-    for (std::size_t i = 0; i < on.best_networks.size(); ++i) {
-      EXPECT_EQ(on.best_networks[i].edp, off.best_networks[i].edp);
-      EXPECT_EQ(on.best_networks[i].latency_cycles,
-                off.best_networks[i].latency_cycles);
-      EXPECT_EQ(on.best_networks[i].energy_nj,
-                off.best_networks[i].energy_nj);
-    }
-    // Speculation itself ran (or was gated off after the probe rounds) —
-    // either way the off-run has no speculative activity at all.
-    EXPECT_EQ(off.speculative_hits + off.speculative_wasted, 0);
+  const auto serial = search::run_naas(model, tiny_naas(1), benchmarks);
+  const auto pooled = search::run_naas(model, tiny_naas(4), benchmarks);
+  EXPECT_EQ(pooled.best_geomean_edp, serial.best_geomean_edp);
+  EXPECT_EQ(search::arch_fingerprint(pooled.best_arch),
+            search::arch_fingerprint(serial.best_arch));
+  EXPECT_EQ(pooled.cost_evaluations, serial.cost_evaluations);
+  EXPECT_EQ(pooled.mapping_searches, serial.mapping_searches);
+  EXPECT_EQ(pooled.generations_batched, serial.generations_batched);
+  EXPECT_EQ(pooled.tasks_executed, serial.tasks_executed);
+  EXPECT_GT(serial.tasks_executed, 0);
+  ASSERT_EQ(pooled.population_best_edp.size(),
+            serial.population_best_edp.size());
+  for (std::size_t i = 0; i < pooled.population_best_edp.size(); ++i) {
+    EXPECT_EQ(pooled.population_best_edp[i], serial.population_best_edp[i]);
+    EXPECT_EQ(pooled.population_mean_edp[i], serial.population_mean_edp[i]);
   }
-}
-
-TEST(Speculation, PipelinePromotionAndClaimAccounting) {
-  // Speculative chain claimed by a later real touch: meters transfer once,
-  // hit counted once, and the entry is byte-identical to a real search.
-  const cost::CostModel model;
-  search::MappingSearchOptions mopts;
-  mopts.population = 6;
-  mopts.iterations = 2;
-  const auto arch = arch::nvdla_256_arch();
-  const nn::Workload layer = nn::make_conv("c", 32, 64, 3, 1, 28);
-
-  search::ArchEvaluator spec_ev(model, mopts);
-  {
-    search::EvalPipeline pipeline(spec_ev);
-    EXPECT_TRUE(pipeline.request(arch, layer, /*speculative=*/true)
-                    .has_value());
-    pipeline.run();
+  ASSERT_EQ(pooled.best_networks.size(), serial.best_networks.size());
+  for (std::size_t i = 0; i < pooled.best_networks.size(); ++i) {
+    EXPECT_EQ(pooled.best_networks[i].edp, serial.best_networks[i].edp);
+    EXPECT_EQ(pooled.best_networks[i].latency_cycles,
+              serial.best_networks[i].latency_cycles);
+    EXPECT_EQ(pooled.best_networks[i].energy_nj,
+              serial.best_networks[i].energy_nj);
   }
-  EXPECT_EQ(spec_ev.mapping_searches(), 0);  // unclaimed: not real work yet
-  EXPECT_EQ(spec_ev.speculative_wasted(), 1);
-  EXPECT_EQ(spec_ev.speculative_hits(), 0);
-
-  const auto& claimed = spec_ev.best_mapping(arch, layer);  // real touch
-  EXPECT_EQ(spec_ev.mapping_searches(), 1);
-  EXPECT_EQ(spec_ev.speculative_wasted(), 0);
-  EXPECT_EQ(spec_ev.speculative_hits(), 1);
-
-  search::ArchEvaluator real_ev(model, mopts);
-  const auto& real = real_ev.best_mapping(arch, layer);
-  EXPECT_EQ(claimed.best_edp, real.best_edp);
-  EXPECT_EQ(claimed.evaluations, real.evaluations);
-  EXPECT_EQ(claimed.report.edp, real.report.edp);
-  EXPECT_EQ(spec_ev.cost_evaluations(), real_ev.cost_evaluations());
 }
 
 }  // namespace
