@@ -1,5 +1,6 @@
 #include "core/task_graph.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -11,27 +12,70 @@ TaskGraph::TaskGraph(ThreadPool* pool) : pool_(pool) {
   stats_.workers = parallelism();
 }
 
+TaskGraph::Task* TaskGraph::live_task_locked(TaskId id) {
+  const std::size_t block = (id - 1) / kBlockSize;
+  if (block < first_block_ || block - first_block_ >= blocks_.size())
+    return nullptr;
+  Block* b = blocks_[block - first_block_].get();
+  if (b == nullptr) return nullptr;  // freed: every id in it completed
+  Task& task = b->tasks[(id - 1) % kBlockSize];
+  return task.state == State::kDone ? nullptr : &task;
+}
+
+TaskGraph::Task& TaskGraph::new_task_locked() {
+  const TaskId id = next_id_;
+  // Ids are issued in order, so a new id either falls in the last block or
+  // opens the next one (blocks holding unissued ids are never freed).
+  if ((id - 1) / kBlockSize - first_block_ == blocks_.size())
+    blocks_.push_back(std::make_unique<Block>());
+  ++next_id_;
+  ++pending_;
+  return blocks_.back()->tasks[(id - 1) % kBlockSize];
+}
+
+void TaskGraph::retire_locked(TaskId id) {
+  const std::size_t index = (id - 1) / kBlockSize - first_block_;
+  Block& b = *blocks_[index];
+  b.tasks[(id - 1) % kBlockSize].state = State::kDone;
+  if (--b.live > 0) return;
+  blocks_[index].reset();
+  std::size_t freed = 0;
+  while (freed < blocks_.size() && blocks_[freed] == nullptr) ++freed;
+  blocks_.erase(blocks_.begin(), blocks_.begin() + freed);
+  first_block_ += freed;
+}
+
 TaskGraph::TaskId TaskGraph::submit(std::function<void()> fn,
-                                    const std::vector<TaskId>& deps) {
+                                    std::span<const TaskId> deps) {
   bool ready = false;
   TaskId id = 0;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    id = next_id_++;
-    Task task;
-    task.fn = std::move(fn);
-    for (const TaskId dep : deps) {
+    id = next_id_;
+    // Validate every dependency before touching anything, so a rejected
+    // submit leaves no trace (no consumed id, no dangling dependent edge).
+    for (const TaskId dep : deps)
       if (dep == 0 || dep >= id)
         throw std::invalid_argument("TaskGraph::submit: unknown dependency id");
-      const auto it = tasks_.find(dep);
-      if (it == tasks_.end()) continue;  // already completed: satisfied
-      it->second.dependents.push_back(id);
+    Task& task = new_task_locked();
+    task.fn = std::move(fn);
+    task.state = State::kTask;
+    for (const TaskId dep : deps) {
+      Task* pred = live_task_locked(dep);
+      if (pred == nullptr) continue;  // already completed: satisfied
+      std::uint32_t edge = free_edge_;
+      if (edge != kNoEdge) {
+        free_edge_ = edges_[edge].next;
+        edges_[edge] = {id, pred->dependents};
+      } else {
+        edge = static_cast<std::uint32_t>(edges_.size());
+        edges_.push_back({id, pred->dependents});
+      }
+      pred->dependents = edge;
       ++task.unmet;
     }
     ready = task.unmet == 0;
-    tasks_.emplace(id, std::move(task));
-    ++pending_;
-    if (ready) ready_.insert(id);
+    if (ready) push_ready_locked(id);
   }
   if (ready) cv_.notify_one();
   return id;
@@ -39,60 +83,88 @@ TaskGraph::TaskId TaskGraph::submit(std::function<void()> fn,
 
 TaskGraph::TaskId TaskGraph::make_promise() {
   std::lock_guard<std::mutex> lk(mutex_);
-  const TaskId id = next_id_++;
-  Task task;
-  task.is_promise = true;
+  const TaskId id = next_id_;
+  Task& task = new_task_locked();
+  task.state = State::kPromise;
   // A promise is never "ready": it completes via fulfill(), so it carries a
   // synthetic unmet dependency that nothing ever decrements.
   task.unmet = 1;
-  tasks_.emplace(id, std::move(task));
-  ++pending_;
   return id;
 }
 
 void TaskGraph::fulfill(TaskId promise) {
+  std::size_t readied = 0;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    const auto it = tasks_.find(promise);
-    if (it == tasks_.end() || !it->second.is_promise)
+    const Task* task =
+        promise != 0 && promise < next_id_ ? live_task_locked(promise) : nullptr;
+    if (task == nullptr || task->state != State::kPromise)
       throw std::logic_error(
           "TaskGraph::fulfill: not a live promise (double fulfill?)");
-    complete_locked(promise);
+    readied = complete_locked(promise);
   }
-  cv_.notify_all();
+  // Called from a running body (or outside run()), so the graph cannot have
+  // quiesced; only the readied dependents need a worker.
+  for (; readied > 0; --readied) cv_.notify_one();
+}
+
+void TaskGraph::push_ready_locked(TaskId id) {
+  ready_.push_back(id);
+  std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
 }
 
 TaskGraph::TaskId TaskGraph::pop_ready_locked() {
-  const TaskId id = *ready_.begin();
-  ready_.erase(ready_.begin());
+  std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  const TaskId id = ready_.back();
+  ready_.pop_back();
   return id;
 }
 
-void TaskGraph::complete_locked(TaskId id) {
-  auto node = tasks_.extract(id);
-  for (const TaskId dep_id : node.mapped().dependents) {
-    const auto it = tasks_.find(dep_id);
-    if (it == tasks_.end()) continue;  // cancelled
-    if (--it->second.unmet == 0) ready_.insert(dep_id);
+std::size_t TaskGraph::complete_locked(TaskId id) {
+  Task& task = *live_task_locked(id);
+  std::size_t readied = 0;
+  for (std::uint32_t edge = task.dependents; edge != kNoEdge;) {
+    const Edge e = edges_[edge];
+    edges_[edge].next = free_edge_;
+    free_edge_ = edge;
+    edge = e.next;
+    if (--live_task_locked(e.dependent)->unmet == 0) {
+      push_ready_locked(e.dependent);
+      ++readied;
+    }
   }
+  task.dependents = kNoEdge;
+  retire_locked(id);
   --pending_;
+  return readied;
 }
 
 void TaskGraph::cancel_remaining_locked() {
-  for (const auto& [id, task] : tasks_)
-    if (!task.is_promise) ++stats_.tasks_skipped;
-  tasks_.clear();
+  // Only called with nothing running, so every live slot is idle: skip the
+  // bodies, force-complete the promises, and free every edge and block.
+  for (TaskId id = first_block_ * kBlockSize + 1; id < next_id_; ++id) {
+    Task* task = live_task_locked(id);
+    if (task == nullptr) continue;
+    if (task->state == State::kTask) ++stats_.tasks_skipped;
+    task->fn = nullptr;
+    task->dependents = kNoEdge;
+    retire_locked(id);
+  }
+  edges_.clear();
+  free_edge_ = kNoEdge;
   ready_.clear();
   pending_ = 0;
 }
 
-void TaskGraph::execute(TaskId id, std::unique_lock<std::mutex>& lk) {
-  // Move the body out but keep the task entry live: dependents registered
+std::size_t TaskGraph::execute(TaskId id, std::unique_lock<std::mutex>& lk,
+                               std::size_t wake) {
+  // Move the body out but keep the task slot live: dependents registered
   // while it runs (nested submission) must still find it.
-  std::function<void()> fn = std::move(tasks_.at(id).fn);
+  std::function<void()> fn = std::move(live_task_locked(id)->fn);
   const bool skip = error_ != nullptr;
   ++running_;
   lk.unlock();
+  for (; wake > 0; --wake) cv_.notify_one();
 
   double body_seconds = 0;
   std::exception_ptr thrown;
@@ -105,6 +177,9 @@ void TaskGraph::execute(TaskId id, std::unique_lock<std::mutex>& lk) {
     }
     body_seconds = timer.seconds();
   }
+  // The closure may own chain state (a mapping search's shared state, say):
+  // release it here rather than under the lock.
+  fn = nullptr;
 
   lk.lock();
   --running_;
@@ -115,19 +190,19 @@ void TaskGraph::execute(TaskId id, std::unique_lock<std::mutex>& lk) {
     stats_.busy_seconds += body_seconds;
     if (thrown && !error_) error_ = thrown;
   }
-  complete_locked(id);
-  // Completion may have readied several dependents (or quiesced the graph);
-  // wake every waiter rather than guessing how many can now make progress.
-  cv_.notify_all();
+  return complete_locked(id);
 }
 
 void TaskGraph::worker_loop() {
   std::unique_lock<std::mutex> lk(mutex_);
+  // Dependents readied by this thread's last completion beyond the one it
+  // claims next itself; woken once the lock is released.
+  std::size_t owed = 0;
   while (true) {
     cv_.wait(lk, [this] {
       return !ready_.empty() || pending_ == 0 || running_ == 0;
     });
-    if (pending_ == 0) return;
+    if (pending_ == 0) break;
     if (ready_.empty()) {
       if (running_ > 0) continue;  // spurious wake while others still run
       // Nothing ready, nothing running, tasks pending: every live task
@@ -139,12 +214,14 @@ void TaskGraph::worker_loop() {
             "TaskGraph stalled: live tasks blocked on an unfulfilled "
             "promise"));
       cancel_remaining_locked();
-      cv_.notify_all();
-      return;
+      break;
     }
-    const TaskId id = pop_ready_locked();
-    execute(id, lk);  // unlocks while the body runs
+    const std::size_t readied = execute(pop_ready_locked(), lk, owed);
+    owed = readied > 0 ? readied - 1 : 0;
   }
+  // Quiesced: every other claim loop must see it and return too.
+  lk.unlock();
+  cv_.notify_all();
 }
 
 void TaskGraph::run_serial() {
@@ -158,8 +235,7 @@ void TaskGraph::run_serial() {
       cancel_remaining_locked();
       break;
     }
-    const TaskId id = pop_ready_locked();
-    execute(id, lk);
+    execute(pop_ready_locked(), lk, 0);
   }
 }
 

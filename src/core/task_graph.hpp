@@ -1,12 +1,14 @@
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -36,6 +38,13 @@ namespace naas::core {
 ///  4. *Errors*: the first exception cancels all remaining tasks (their
 ///     bodies are skipped, unfulfilled promises are force-completed) and is
 ///     rethrown from run().
+///
+/// Storage: ids are dense, so a task lives in a slot of a fixed-size block
+/// indexed by id. A block is freed once every id in it has completed (an id
+/// in a freed block counts as completed), dependency edges come from one
+/// reused free list, and the ready set is a min-heap in a reused vector, so
+/// the scheduler's critical section allocates only when a new block starts
+/// or a reused buffer grows. A graph that never runs allocates nothing.
 class TaskGraph {
  public:
   using TaskId = std::uint64_t;
@@ -68,7 +77,13 @@ class TaskGraph {
   /// Registers a task. It becomes ready once every id in `deps` has
   /// completed (ids of already-completed tasks are allowed and count as
   /// satisfied). Never blocks; call from anywhere, including task bodies.
-  TaskId submit(std::function<void()> fn, const std::vector<TaskId>& deps = {});
+  /// Throws std::invalid_argument, leaving the graph unchanged, when a
+  /// dependency was never issued.
+  TaskId submit(std::function<void()> fn, std::span<const TaskId> deps = {});
+  TaskId submit(std::function<void()> fn, std::initializer_list<TaskId> deps) {
+    return submit(std::move(fn),
+                  std::span<const TaskId>(deps.begin(), deps.size()));
+  }
 
   /// Creates a completion placeholder with no body: dependents become ready
   /// only when fulfill() is called. This is how a dynamically-growing chain
@@ -94,28 +109,61 @@ class TaskGraph {
   Stats stats() const;
 
  private:
+  static constexpr std::size_t kBlockSize = 256;
+  static constexpr std::uint32_t kNoEdge = UINT32_MAX;
+
+  enum class State : std::uint8_t { kDone, kTask, kPromise };
+
   struct Task {
-    std::function<void()> fn;        ///< empty for promises
-    std::vector<TaskId> dependents;  ///< ids waiting on this task
-    int unmet = 0;                   ///< outstanding dependencies
-    bool is_promise = false;
+    std::function<void()> fn;           ///< empty for promises
+    std::uint32_t dependents = kNoEdge;  ///< head of its list in edges_
+    int unmet = 0;                       ///< outstanding dependencies
+    State state = State::kDone;
+  };
+
+  struct Block {
+    std::array<Task, kBlockSize> tasks;
+    std::size_t live = kBlockSize;  ///< ids not yet completed
+  };
+
+  /// One "`dependent` waits on me" link in a task's dependent list.
+  struct Edge {
+    TaskId dependent;
+    std::uint32_t next;
   };
 
   void worker_loop();
   void run_serial();
-  /// Executes one claimed task body outside the lock; returns holding it.
-  void execute(TaskId id, std::unique_lock<std::mutex>& lk);
+  /// Runs one claimed task body outside the lock, sending `wake`
+  /// notify_one()s once unlocked; returns holding the lock, with the number
+  /// of dependents the task's completion readied.
+  std::size_t execute(TaskId id, std::unique_lock<std::mutex>& lk,
+                      std::size_t wake);
+  /// The live task `id`, or null once it has completed.
+  Task* live_task_locked(TaskId id);
+  /// Issues the next id and returns its (empty) slot.
+  Task& new_task_locked();
+  void push_ready_locked(TaskId id);
   /// Claims the lowest ready id (oldest submission): the serial mode's
   /// deterministic execution order, and a sensible parallel claim order.
   TaskId pop_ready_locked();
-  void complete_locked(TaskId id);
+  /// Completes `id`; returns how many of its dependents became ready.
+  std::size_t complete_locked(TaskId id);
+  /// Marks `id`'s slot completed and frees its block once all its ids are.
+  void retire_locked(TaskId id);
   void cancel_remaining_locked();
 
   ThreadPool* pool_ = nullptr;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::map<TaskId, Task> tasks_;  ///< live (not yet completed) tasks
-  std::set<TaskId> ready_;
+  /// blocks_[i] holds the ids of block first_block_ + i; null once freed.
+  /// The freed prefix is dropped, so the table starts at the oldest live
+  /// block.
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::size_t first_block_ = 0;
+  std::vector<Edge> edges_;             ///< dependent lists; free slots chained
+  std::uint32_t free_edge_ = kNoEdge;   ///< head of the free chain in edges_
+  std::vector<TaskId> ready_;           ///< min-heap of ready ids
   TaskId next_id_ = 1;
   std::size_t pending_ = 0;  ///< live tasks, including running and promises
   int running_ = 0;          ///< bodies currently executing

@@ -16,9 +16,9 @@ namespace naas::core {
 ///
 /// Design goals, in order:
 ///  1. *Determinism*: the pool never decides results, only scheduling.
-///     `parallel_for`/`parallel_map` hand out indices from a shared atomic
-///     counter and results are written by index, so outputs are identical
-///     for any thread count and any interleaving (no work stealing between
+///     `parallel_for` hands out indices from a shared atomic counter and
+///     callers write results by index, so outputs are identical for any
+///     thread count and any interleaving (no work stealing between
 ///     unrelated loops, no reduction-order dependence).
 ///  2. *Nesting safety*: the calling thread participates in its own loop
 ///     (it claims indices like any worker) and never blocks waiting for a
@@ -52,16 +52,6 @@ class ThreadPool {
   /// drains; iterations not yet started when the error was recorded are
   /// skipped, so on a throwing loop no output slot can be assumed written.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Maps `fn` over [0, n), assembling results *by index* so the output is
-  /// independent of scheduling order.
-  template <typename T>
-  std::vector<T> parallel_map(std::size_t n,
-                              const std::function<T(std::size_t)>& fn) {
-    std::vector<T> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
 
   /// Thread count used for `num_threads <= 0`: the NAAS_NUM_THREADS
   /// environment variable when set, else `hardware_concurrency`.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -161,6 +163,198 @@ TEST(TaskGraph, StalledPromiseFailsLoudlyInsteadOfHanging) {
 TEST(TaskGraph, UnknownDependencyIsRejected) {
   core::TaskGraph graph(nullptr);
   EXPECT_THROW(graph.submit([] {}, {12345}), std::invalid_argument);
+}
+
+TEST(TaskGraph, RejectedSubmitLeavesGraphUnchanged) {
+  for (int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    core::TaskGraph graph(&pool);
+    std::atomic<int> a_runs{0};
+    std::atomic<int> b_runs{0};
+    std::atomic<bool> rejected_ran{false};
+    const auto a = graph.submit([&] { a_runs.fetch_add(1); });
+    // The valid dependency comes first: a rejected submit must neither
+    // consume an id nor leave itself registered as a dependent of `a`.
+    EXPECT_THROW(graph.submit([&] { rejected_ran.store(true); }, {a, 12345}),
+                 std::invalid_argument);
+    const auto b = graph.submit([&] { b_runs.fetch_add(1); }, {a});
+    EXPECT_EQ(b, a + 1) << threads;
+    graph.run();
+    EXPECT_EQ(a_runs.load(), 1) << threads;
+    EXPECT_EQ(b_runs.load(), 1) << threads;
+    EXPECT_FALSE(rejected_ran.load()) << threads;
+    EXPECT_EQ(graph.stats().tasks_executed, 2) << threads;
+    EXPECT_EQ(graph.stats().tasks_skipped, 0) << threads;
+  }
+}
+
+// ------------------------------------------------- long-lived graph storage
+
+// Far more tasks than one storage block, so early ids live in blocks that
+// have been freed by the time the later checks run.
+constexpr int kManyTasks = 1500;
+
+TEST(TaskGraph, DependencyOnFreedBlockIsSatisfied) {
+  for (int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    core::TaskGraph graph(&pool);
+    // The promise keeps the first block alive while the blocks after it
+    // complete and are freed.
+    const auto hold = graph.make_promise();
+    std::vector<core::TaskGraph::TaskId> ids;
+    for (int i = 0; i < kManyTasks; ++i) ids.push_back(graph.submit([] {}));
+    std::atomic<int> ran{0};
+    graph.submit(
+        [&] {
+          graph.submit([&] { ran.fetch_add(1); }, {ids[kManyTasks / 4]});
+          graph.fulfill(hold);
+        },
+        {ids.back()});
+    graph.run();
+    // Now every block is freed, the promise's too.
+    graph.submit([&] { ran.fetch_add(1); }, {ids.front()});
+    graph.submit([&] { ran.fetch_add(1); }, ids);
+    graph.submit([&] { ran.fetch_add(1); }, {hold});
+    graph.run();
+    EXPECT_EQ(ran.load(), 4) << threads;
+    EXPECT_EQ(graph.stats().tasks_executed, kManyTasks + 5) << threads;
+  }
+}
+
+TEST(TaskGraph, FulfillOnLongCompletedPromiseThrows) {
+  core::TaskGraph graph(nullptr);
+  const auto promise = graph.make_promise();
+  const auto task = graph.submit([&] { graph.fulfill(promise); });
+  for (int i = 0; i < kManyTasks; ++i) graph.submit([] {});
+  graph.run();
+  EXPECT_THROW(graph.fulfill(promise), std::logic_error);
+  EXPECT_THROW(graph.fulfill(task), std::logic_error);  // not a promise
+  EXPECT_THROW(graph.fulfill(0), std::logic_error);
+  EXPECT_THROW(graph.fulfill(promise + kManyTasks + 100), std::logic_error);
+}
+
+TEST(TaskGraph, CancelAfterErrorCountsSkippedAcrossBlocks) {
+  for (int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    core::TaskGraph graph(&pool);
+    const auto never = graph.make_promise();
+    const auto boom =
+        graph.submit([] { throw std::runtime_error("task failed"); });
+    std::atomic<int> ran{0};
+    // Everything else waits on the failing task (its bodies are skipped as
+    // they are claimed) or on the promise its dependent would have
+    // fulfilled (cancelled in bulk once nothing is left to run).
+    graph.submit([&] { graph.fulfill(never); }, {boom});
+    for (int i = 0; i < kManyTasks; ++i) {
+      graph.submit([&] { ran.fetch_add(1); }, {boom});
+      graph.submit([&] { ran.fetch_add(1); }, {never});
+    }
+    EXPECT_THROW(graph.run(), std::runtime_error) << threads;
+    EXPECT_EQ(ran.load(), 0) << threads;
+    EXPECT_EQ(graph.stats().tasks_executed, 1) << threads;
+    EXPECT_EQ(graph.stats().tasks_skipped, 1 + 2 * kManyTasks) << threads;
+
+    // The graph is usable again after the cancellation.
+    graph.submit([&] { ran.fetch_add(1); }, {boom, never});
+    graph.run();
+    EXPECT_EQ(ran.load(), 1) << threads;
+  }
+}
+
+// ---------------------------------------------------------------- stress
+
+TEST(TaskGraph, RandomDagStressRunsEachBodyOnceAfterItsDependencies) {
+  // A seeded random DAG of >20k tasks at 4 threads, across two run()s:
+  // plain tasks with up to three dependencies (recent or long completed),
+  // promises fulfilled by tasks that a spawner submits from its body, and
+  // dependents of those promises. Every body checks that all of its
+  // dependencies finished before it started.
+  constexpr int kNodes = 24000;
+  struct Node {
+    std::atomic<int> runs{0};
+    std::atomic<bool> done{false};
+  };
+  std::vector<Node> nodes(kNodes);
+  std::atomic<int> violations{0};
+  std::vector<core::TaskGraph::TaskId> id_of(kNodes, 0);
+  long long bodies = 0;
+
+  core::ThreadPool pool(4);
+  core::TaskGraph graph(&pool);
+  std::mt19937_64 rng(20240917);
+
+  // Body of node `self`: verify the dependencies, then mark itself done.
+  const auto body = [&nodes, &violations](int self, std::vector<int> deps) {
+    return [&nodes, &violations, self, deps = std::move(deps)] {
+      for (const int d : deps)
+        if (!nodes[d].done.load(std::memory_order_acquire))
+          violations.fetch_add(1);
+      nodes[self].runs.fetch_add(1);
+      nodes[self].done.store(true, std::memory_order_release);
+    };
+  };
+  const auto pick_deps = [&](int before) {
+    std::vector<int> deps;
+    const int count = before == 0 ? 0 : static_cast<int>(rng() % 4);
+    for (int k = 0; k < count; ++k) {
+      const int window = rng() % 8 == 0 ? before : std::min(before, 300);
+      deps.push_back(before - 1 - static_cast<int>(rng() % window));
+    }
+    return deps;
+  };
+  const auto ids_of = [&](const std::vector<int>& deps) {
+    std::vector<core::TaskGraph::TaskId> ids;
+    for (const int d : deps) ids.push_back(id_of[d]);
+    return ids;
+  };
+
+  int n = 0;
+  for (const int round_end : {kNodes / 2, kNodes}) {
+    while (n < round_end) {
+      if (rng() % 10 == 0 && n + 3 <= round_end) {
+        // Promise `n`, spawner `n + 1`, and nested fulfiller `n + 2`; the
+        // promise counts as done once the fulfiller marks it.
+        const int promise = n, spawner = n + 1, fulfiller = n + 2;
+        id_of[promise] = graph.make_promise();
+        const auto fulfiller_deps = pick_deps(promise);
+        const auto fulfiller_ids = ids_of(fulfiller_deps);
+        const auto spawner_deps = pick_deps(promise);
+        const core::TaskGraph::TaskId promise_id = id_of[promise];
+        auto fulfill_body = body(fulfiller, fulfiller_deps);
+        auto spawn_body = body(spawner, spawner_deps);
+        id_of[spawner] = graph.submit(
+            [&, promise, promise_id, fulfiller_ids, spawn_body,
+             fulfill_body] {
+              spawn_body();
+              graph.submit(
+                  [&, promise, promise_id, fulfill_body] {
+                    fulfill_body();
+                    nodes[promise].runs.fetch_add(1);
+                    nodes[promise].done.store(true, std::memory_order_release);
+                    graph.fulfill(promise_id);
+                  },
+                  fulfiller_ids);
+            },
+            ids_of(spawner_deps));
+        // Only the fulfiller's completion is visible through the promise;
+        // nothing depends on the nested task's own id.
+        id_of[fulfiller] = id_of[promise];
+        bodies += 2;
+        n += 3;
+      } else {
+        const auto deps = pick_deps(n);
+        id_of[n] = graph.submit(body(n, deps), ids_of(deps));
+        ++bodies;
+        ++n;
+      }
+    }
+    graph.run();
+  }
+
+  for (int i = 0; i < kNodes; ++i) ASSERT_EQ(nodes[i].runs.load(), 1) << i;
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(graph.stats().tasks_executed, bodies);
+  EXPECT_EQ(graph.stats().tasks_skipped, 0);
 }
 
 // --------------------------------------------------- serial bit-identity
