@@ -1,33 +1,8 @@
 #include "mapping/mapping.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace naas::mapping {
-
-bool is_valid_order(const LoopOrder& order) {
-  std::array<bool, nn::kNumDims> seen{};
-  for (nn::Dim d : order) {
-    const int i = static_cast<int>(d);
-    if (i < 0 || i >= nn::kNumDims) return false;
-    if (seen[static_cast<std::size_t>(i)]) return false;
-    seen[static_cast<std::size_t>(i)] = true;
-  }
-  return true;
-}
-
-LoopOrder default_order() {
-  return {nn::Dim::kN,  nn::Dim::kK,  nn::Dim::kC, nn::Dim::kYp,
-          nn::Dim::kXp, nn::Dim::kR,  nn::Dim::kS};
-}
-
-int tile_of(const TileSizes& t, nn::Dim d) {
-  return t[static_cast<std::size_t>(static_cast<int>(d))];
-}
-
-void set_tile(TileSizes& t, nn::Dim d, int v) {
-  t[static_cast<std::size_t>(static_cast<int>(d))] = v;
-}
 
 std::string order_to_string(const LoopOrder& order) {
   std::ostringstream os;

@@ -12,17 +12,30 @@ namespace naas::mapping {
 using LoopOrder = std::array<nn::Dim, nn::kNumDims>;
 
 /// True if `order` contains each dimension exactly once.
-bool is_valid_order(const LoopOrder& order);
+constexpr bool is_valid_order(const LoopOrder& order) {
+  std::array<bool, nn::kNumDims> seen{};
+  for (nn::Dim d : order) {
+    const int i = static_cast<int>(d);
+    if (i < 0 || i >= nn::kNumDims) return false;
+    if (seen[static_cast<std::size_t>(i)]) return false;
+    seen[static_cast<std::size_t>(i)] = true;
+  }
+  return true;
+}
 
 /// The canonical order N,K,C,Y',X',R,S.
-LoopOrder default_order();
+constexpr LoopOrder default_order() { return nn::all_dims(); }
 
 /// Tile sizes indexed by static_cast<int>(Dim).
 using TileSizes = std::array<int, nn::kNumDims>;
 
 /// Convenience accessors for TileSizes by Dim.
-int tile_of(const TileSizes& t, nn::Dim d);
-void set_tile(TileSizes& t, nn::Dim d, int v);
+constexpr int tile_of(const TileSizes& t, nn::Dim d) {
+  return t[static_cast<std::size_t>(static_cast<int>(d))];
+}
+constexpr void set_tile(TileSizes& t, nn::Dim d, int v) {
+  t[static_cast<std::size_t>(static_cast<int>(d))] = v;
+}
 
 /// One temporal tiling level: the order in which tiles are visited and the
 /// tile size along each dimension at this level.

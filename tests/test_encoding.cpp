@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <set>
 
 #include "core/rng.hpp"
@@ -196,6 +197,8 @@ TEST(Encoding, MapDecodeAlwaysLegal) {
       nn::make_conv("c", 64, 128, 3, 1, 28),
       nn::make_dwconv("dw", 96, 3, 2, 56),
       nn::make_fc("fc", 512, 1000),
+      nn::make_matmul("mm", 128, 768, 3072),
+      nn::make_attention_scores("qk", 128, 128, 64, 12),
   };
   for (OrderEncoding enc :
        {OrderEncoding::kImportance, OrderEncoding::kIndex}) {
@@ -214,6 +217,76 @@ TEST(Encoding, MapDecodeAlwaysLegal) {
       }
     }
   }
+}
+
+/// Folds the tiles and orders of `m` into an FNV-1a hash.
+std::uint64_t fold_mapping(std::uint64_t h, const mapping::Mapping& m) {
+  auto fold = [&h](int v) {
+    for (int b = 0; b < 4; ++b)
+      h = (h ^ ((static_cast<unsigned>(v) >> (8 * b)) & 0xffu)) *
+          0x100000001b3ull;
+  };
+  for (const mapping::LoopOrder* o : {&m.dram.order, &m.pe.order, &m.pe_order})
+    for (nn::Dim d : *o) fold(static_cast<int>(d));
+  for (const mapping::TileSizes* t : {&m.dram.tile, &m.pe.tile})
+    for (int v : *t) fold(v);
+  return h;
+}
+
+TEST(Encoding, MapDecodeIsPinned) {
+  // Seeded decodes over every MapEncodingSpec variant, five layer kinds
+  // and arrays with 1, 2 and 3 active axes, hashed over tiles and orders.
+  // Genes span [-0.3, 1.3] because CMA-ES samples leave [0, 1]. The
+  // expected value was recorded before the geometry helpers moved into
+  // their headers; any change to decode, repair or grow_to_fit output
+  // changes it.
+  arch::ArchConfig one_axis = arch::nvdla_256_arch();
+  one_axis.num_array_dims = 1;
+  one_axis.array_dims = {64, 1, 1};
+  one_axis.parallel_dims = {nn::Dim::kK, nn::Dim::kC, nn::Dim::kXp};
+  arch::ArchConfig three_axis = arch::nvdla_256_arch();
+  three_axis.num_array_dims = 3;
+  three_axis.array_dims = {8, 4, 6};
+  three_axis.parallel_dims = {nn::Dim::kC, nn::Dim::kYp, nn::Dim::kR};
+  three_axis.l1_bytes = 256;
+  three_axis.l2_bytes = 48 * 1024;
+  const arch::ArchConfig archs[] = {one_axis, arch::nvdla_256_arch(),
+                                    arch::eyeriss_arch(), three_axis};
+  const nn::Workload layers[] = {
+      nn::make_conv("c", 64, 128, 3, 1, 28),
+      nn::make_dwconv("dw", 96, 3, 2, 56),
+      nn::make_fc("fc", 512, 1000),
+      nn::make_matmul("mm", 128, 768, 3072),
+      nn::make_attention_context("av", 128, 128, 64, 12),
+  };
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  int decodes = 0;
+  for (OrderEncoding enc :
+       {OrderEncoding::kImportance, OrderEncoding::kIndex}) {
+    for (bool search_order : {true, false}) {
+      for (bool grow : {true, false}) {
+        MapEncodingSpec spec;
+        spec.order_encoding = enc;
+        spec.search_order = search_order;
+        spec.grow_tiles = grow;
+        spec.fixed_dataflow = arch::Dataflow::kRowStationary;
+        core::Rng rng(41);
+        for (const auto& arch : archs) {
+          for (const auto& layer : layers) {
+            for (int i = 0; i < 25; ++i) {
+              std::vector<double> g(
+                  static_cast<std::size_t>(spec.genome_size()));
+              for (auto& v : g) v = rng.uniform(-0.3, 1.3);
+              h = fold_mapping(h, spec.decode(g, arch, layer));
+              ++decodes;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(decodes, 8 * 4 * 5 * 25);
+  EXPECT_EQ(h, 0xb62e175a348d5636ull);
 }
 
 TEST(Encoding, MapDecodeFixedOrderUsesDataflow) {
