@@ -21,23 +21,19 @@ struct TileFootprint {
   constexpr long long total() const { return input + weight + output; }
 };
 
-/// Footprint of a tile with extents `tile` of `layer`'s iteration space.
-/// Input footprint accounts for the stride/kernel halo
-/// ((t_Y'-1)*stride + t_R rows, similarly for columns) and for depthwise
-/// layers walks channels with K. Tile extents are clamped to the layer's
-/// dimension sizes.
-constexpr TileFootprint tile_footprint(const nn::Workload& layer,
-                                       const TileSizes& tile) {
-  auto t = [&](nn::Dim d) {
-    return std::max(1, std::min(tile_of(tile, d), layer.dim_size(d)));
-  };
-  const long long tn = t(nn::Dim::kN);
-  const long long tk = t(nn::Dim::kK);
-  const long long tc = t(nn::Dim::kC);
-  const long long typ = t(nn::Dim::kYp);
-  const long long txp = t(nn::Dim::kXp);
-  const long long tr = t(nn::Dim::kR);
-  const long long ts = t(nn::Dim::kS);
+/// Footprint of a tile whose extents `ext` already lie in [1, dim] for
+/// each of `layer`'s dims. Input footprint accounts for the stride/kernel
+/// halo ((t_Y'-1)*stride + t_R rows, similarly for columns) and for
+/// depthwise layers walks channels with K.
+constexpr TileFootprint extent_footprint(const nn::Workload& layer,
+                                         const TileSizes& ext) {
+  const long long tn = tile_of(ext, nn::Dim::kN);
+  const long long tk = tile_of(ext, nn::Dim::kK);
+  const long long tc = tile_of(ext, nn::Dim::kC);
+  const long long typ = tile_of(ext, nn::Dim::kYp);
+  const long long txp = tile_of(ext, nn::Dim::kXp);
+  const long long tr = tile_of(ext, nn::Dim::kR);
+  const long long ts = tile_of(ext, nn::Dim::kS);
 
   // Distinct input rows/cols read by the tile: consecutive outputs advance
   // by min(stride, kernel-extent) — when stride exceeds the kernel rows in
@@ -62,6 +58,17 @@ constexpr TileFootprint tile_footprint(const nn::Workload& layer,
   fp.weight = w_batch * tk * tc * tr * ts * kBytesPerElement;
   fp.output = tn * tk * typ * txp * kBytesPerElement;
   return fp;
+}
+
+/// Footprint of a tile with extents `tile` of `layer`'s iteration space,
+/// each clamped to [1, dim] first.
+constexpr TileFootprint tile_footprint(const nn::Workload& layer,
+                                       const TileSizes& tile) {
+  TileSizes ext{};
+  for (nn::Dim d : nn::all_dims())
+    set_tile(ext, d,
+             std::max(1, std::min(tile_of(tile, d), layer.dim_size(d))));
+  return extent_footprint(layer, ext);
 }
 
 }  // namespace naas::mapping

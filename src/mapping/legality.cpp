@@ -99,34 +99,46 @@ Mapping grow_to_fit(Mapping m, const nn::Workload& layer,
                     const arch::ArchConfig& arch,
                     const ShrinkPriority& dram_priority,
                     const ShrinkPriority& pe_priority) {
-  // Doubles tiles[d] toward bound(d) while footprint stays within cap,
+  // Bounds are taken per dim in canonical order up front: looked up in
+  // priority order, the dim_size switch would be a mispredicted jump.
+  TileSizes dims{};
+  for (nn::Dim d : nn::all_dims()) set_tile(dims, d, layer.dim_size(d));
+  // Doubles tiles[d] toward bound[d] while footprint stays within cap,
   // trying the full bound first (exact bounds avoid ceil-padding waste).
-  auto grow = [&layer](TileSizes& tiles, const ShrinkPriority& prio,
-                       auto bound_fn, long long cap) {
+  // `ext` holds the clamped extents tile_footprint would derive, so each
+  // trial size changes one entry and the other six are read as they are.
+  auto grow = [&layer, &dims](TileSizes& tiles, const ShrinkPriority& prio,
+                              const TileSizes& bound, long long cap) {
+    auto extent = [&dims](nn::Dim d, int t) {
+      return std::max(1, std::min(t, tile_of(dims, d)));
+    };
+    TileSizes ext{};
+    for (nn::Dim d : nn::all_dims())
+      set_tile(ext, d, extent(d, tile_of(tiles, d)));
     for (nn::Dim d : prio) {
-      const int bound = std::max(1, bound_fn(d));
+      const int b = std::max(1, tile_of(bound, d));
       int cur = tile_of(tiles, d);
-      if (cur >= bound) continue;
-      set_tile(tiles, d, bound);
-      if (tile_footprint(layer, tiles).total() <= cap) continue;
-      set_tile(tiles, d, cur);
-      while (cur < bound) {
-        const int next = std::min(bound, cur * 2);
-        set_tile(tiles, d, next);
-        if (tile_footprint(layer, tiles).total() > cap) {
-          set_tile(tiles, d, cur);
-          break;
-        }
-        cur = next;
+      if (cur >= b) continue;
+      auto fits = [&](int t) {
+        set_tile(ext, d, extent(d, t));
+        return extent_footprint(layer, ext).total() <= cap;
+      };
+      if (fits(b)) {
+        cur = b;
+      } else {
+        while (cur < b && fits(std::min(b, cur * 2)))
+          cur = std::min(b, cur * 2);
+        set_tile(ext, d, extent(d, cur));
       }
+      set_tile(tiles, d, cur);
     }
   };
-  grow(m.dram.tile, dram_priority,
-       [&](nn::Dim d) { return layer.dim_size(d); }, arch.l2_bytes);
+  grow(m.dram.tile, dram_priority, dims, arch.l2_bytes);
   // Shares only grow when dram tiles grow, so existing pe tiles stay legal.
-  grow(m.pe.tile, pe_priority,
-       [&](nn::Dim d) { return pe_share(layer, arch, m.dram.tile, d); },
-       arch.l1_bytes);
+  TileSizes shares{};
+  for (nn::Dim d : nn::all_dims())
+    set_tile(shares, d, pe_share(layer, arch, m.dram.tile, d));
+  grow(m.pe.tile, pe_priority, shares, arch.l1_bytes);
   return m;
 }
 

@@ -23,6 +23,30 @@ double log_lerp(double gene, double lo, double hi) {
   return std::exp(std::log(lo) + gene * (std::log(hi) - std::log(lo)));
 }
 
+/// std::log(bound) for a tile bound (at least 1). Bounds are layer dims
+/// and their per-PE shares, so most fall in a table filled once with the
+/// same std::log values; larger ones call std::log.
+double log_of_bound(int bound) {
+  constexpr int kTableSize = 2048;
+  static const std::array<double, kTableSize> table = [] {
+    std::array<double, kTableSize> t{};
+    for (int k = 1; k < kTableSize; ++k)
+      t[static_cast<std::size_t>(k)] = std::log(static_cast<double>(k));
+    return t;
+  }();
+  return bound < kTableSize ? table[static_cast<std::size_t>(bound)]
+                            : std::log(static_cast<double>(bound));
+}
+
+/// log_lerp(gene, 1.0, hi) given log_hi = std::log(hi). std::log(1.0) is
+/// +0.0, so the general form exp(0.0 + gene * (log_hi - 0.0)) is this one
+/// bit for bit (a -0.0 exponent differs only in sign, and exp gives 1.0
+/// for both).
+double log_lerp_from_one(double gene, double log_hi) {
+  gene = std::clamp(gene, 0.0, 1.0);
+  return std::exp(gene * log_hi);
+}
+
 /// Builds a full loop order from an ordered list of the six searchable
 /// dims, prepending N.
 mapping::LoopOrder with_batch_outer(const std::array<nn::Dim, 6>& inner) {
@@ -32,11 +56,53 @@ mapping::LoopOrder with_batch_outer(const std::array<nn::Dim, 6>& inner) {
   return order;
 }
 
+/// The arrangement of k of the six searchable dims that `gene` indexes
+/// among all P(6, k) of them, read as mixed-radix digits (6, 5, ...) with
+/// the first pick most significant. Entries from k on are unspecified.
+std::array<nn::Dim, 6> arrangement_from_index(double gene, int k) {
+  long long count = 1;  // P(6, k)
+  for (int i = 0; i < k; ++i) count *= 6 - i;
+  gene = std::clamp(gene, 0.0, 1.0 - 1e-12);
+  long long index = static_cast<long long>(gene * static_cast<double>(count));
+  std::array<nn::Dim, 6> pool = searchable_dims();
+  std::array<nn::Dim, 6> picked{};
+  long long radix = count / 6;
+  for (int pos = 0; pos < k; ++pos) {
+    const auto left = static_cast<std::size_t>(6 - pos);
+    const std::size_t pick =
+        std::min(static_cast<std::size_t>(index / radix), left - 1);
+    index %= radix;
+    picked[static_cast<std::size_t>(pos)] = pool[pick];
+    std::copy(pool.begin() + static_cast<std::ptrdiff_t>(pick + 1),
+              pool.begin() + static_cast<std::ptrdiff_t>(left),
+              pool.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (pos + 1 < k) radix /= static_cast<long long>(left - 1);
+  }
+  return picked;
+}
+
 /// Gene indices 0..5 by descending importance, ties in index order: the
-/// permutation a stable sort gives. Insertion sort is stable too, and on
-/// six ints it needs no allocation.
+/// permutation a stable sort gives. Without NaNs, gene i lands at
+/// #{j : imp[j] > imp[i]} + #{j < i : imp[j] == imp[i]}, counted over the
+/// 15 pairs without a branch. A NaN compares false both ways, so a genome
+/// holding one takes the insertion sort, which is stable too and defines
+/// the order for that case.
 std::array<int, 6> rank_by_importance(const std::array<double, 6>& imp) {
   std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
+  bool has_nan = false;
+  for (double v : imp) has_nan |= std::isnan(v);
+  if (!has_nan) {
+    std::array<int, 6> pos{};
+    for (std::size_t i = 0; i < 6; ++i)
+      for (std::size_t j = i + 1; j < 6; ++j) {
+        const int j_after = imp[i] >= imp[j];
+        pos[j] += j_after;
+        pos[i] += 1 - j_after;
+      }
+    for (std::size_t i = 0; i < 6; ++i)
+      idx[static_cast<std::size_t>(pos[i])] = static_cast<int>(i);
+    return idx;
+  }
   for (std::size_t i = 1; i < idx.size(); ++i) {
     const int v = idx[i];
     std::size_t j = i;
@@ -60,21 +126,7 @@ mapping::LoopOrder order_from_importance(const std::array<double, 6>& imp) {
 }
 
 mapping::LoopOrder order_from_index(double gene) {
-  gene = std::clamp(gene, 0.0, 1.0 - 1e-12);
-  long long index = static_cast<long long>(gene * 720.0);  // 6! permutations
-  const auto dims = searchable_dims();
-  std::vector<nn::Dim> pool(dims.begin(), dims.end());
-  std::array<nn::Dim, 6> sorted{};
-  long long radix = 120;  // 5!
-  for (std::size_t pos = 0; pos < 6; ++pos) {
-    const auto pick = static_cast<std::size_t>(index / radix);
-    index %= radix;
-    sorted[pos] = pool[std::min(pick, pool.size() - 1)];
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(pick, pool.size() - 1)));
-    if (pos + 1 < 6) radix /= static_cast<long long>(5 - pos);
-  }
-  return with_batch_outer(sorted);
+  return with_batch_outer(arrangement_from_index(gene, 6));
 }
 
 std::vector<nn::Dim> parallel_from_importance(const std::array<double, 6>& imp,
@@ -89,23 +141,8 @@ std::vector<nn::Dim> parallel_from_importance(const std::array<double, 6>& imp,
 
 std::vector<nn::Dim> parallel_from_index(double gene, int k) {
   k = std::clamp(k, 1, 6);
-  long long count = 1;  // P(6, k)
-  for (int i = 0; i < k; ++i) count *= 6 - i;
-  gene = std::clamp(gene, 0.0, 1.0 - 1e-12);
-  long long index = static_cast<long long>(gene * static_cast<double>(count));
-  const auto dims = searchable_dims();
-  std::vector<nn::Dim> pool(dims.begin(), dims.end());
-  std::vector<nn::Dim> out;
-  long long radix = count / 6;
-  for (int pos = 0; pos < k; ++pos) {
-    const auto pick = static_cast<std::size_t>(index / radix);
-    index %= radix;
-    const std::size_t safe = std::min(pick, pool.size() - 1);
-    out.push_back(pool[safe]);
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(safe));
-    if (pos + 1 < k) radix /= static_cast<long long>(pool.size());
-  }
-  return out;
+  const std::array<nn::Dim, 6> picked = arrangement_from_index(gene, k);
+  return {picked.begin(), picked.begin() + k};
 }
 
 std::uint64_t arch_fingerprint(const arch::ArchConfig& cfg) {
@@ -332,7 +369,7 @@ mapping::Mapping MapEncodingSpec::decode(const std::vector<double>& genome,
     for (nn::Dim d : searchable_dims()) {
       kept_genes[i++] = genome[g];
       const int bound = std::max(1, bound_fn(d));
-      const double t = log_lerp(genome[g++], 1.0, static_cast<double>(bound));
+      const double t = log_lerp_from_one(genome[g++], log_of_bound(bound));
       mapping::set_tile(tiles, d,
                         std::clamp(static_cast<int>(std::lround(t)), 1, bound));
     }

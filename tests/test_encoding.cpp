@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <set>
 
 #include "core/rng.hpp"
@@ -56,6 +57,49 @@ TEST(Encoding, ImportanceRankMatchesStableSort) {
       const nn::Dim want = searchable_dims()[static_cast<std::size_t>(idx[k])];
       EXPECT_EQ(order[k + 1], want);
       EXPECT_EQ(parallel[k], want);
+    }
+  }
+}
+
+TEST(Encoding, ImportanceRankPinnedOnAdversarialGenes) {
+  // Ties, signed zeros, infinities and NaNs, which CMA-ES samples and
+  // clamped genes can produce. The expected ranks (gene indices, most
+  // important first) were recorded from the insertion-sort decode. Signed
+  // zeros compare equal and keep index order; a NaN compares false both
+  // ways, and its genome keeps the order that sort gives it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::array<double, 6> imp;
+    std::array<int, 6> rank;
+  };
+  const Case cases[] = {
+      {{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, {0, 1, 2, 3, 4, 5}},
+      {{0.0, -0.0, 0.0, -0.0, 1.0, -0.0}, {4, 0, 1, 2, 3, 5}},
+      {{-0.0, 0.0, -1.0, -0.0, 0.0, -2.0}, {0, 1, 3, 4, 2, 5}},
+      {{-inf, inf, 0.0, inf, -inf, 1.0}, {1, 3, 5, 2, 0, 4}},
+      {{inf, inf, inf, inf, inf, inf}, {0, 1, 2, 3, 4, 5}},
+      {{nan, 1.0, 2.0, 3.0, 4.0, 5.0}, {0, 5, 4, 3, 2, 1}},
+      {{1.0, nan, 3.0, nan, 0.5, 2.0}, {0, 1, 2, 3, 5, 4}},
+      {{nan, nan, nan, nan, nan, nan}, {0, 1, 2, 3, 4, 5}},
+      {{inf, nan, -inf, 0.0, nan, -0.0}, {0, 1, 3, 2, 4, 5}},
+      {{5.0, 4.0, 3.0, 2.0, 1.0, nan}, {0, 1, 2, 3, 4, 5}},
+      {{-nan, 0.2, 0.9, 0.2, -0.3, 0.9}, {0, 2, 5, 1, 3, 4}},
+  };
+  for (const Case& c : cases) {
+    const auto order = order_from_importance(c.imp);
+    const auto parallel = parallel_from_importance(c.imp, 6);
+    const auto top2 = parallel_from_importance(c.imp, 2);
+    ASSERT_EQ(top2.size(), 2u);
+    EXPECT_EQ(order[0], nn::Dim::kN);
+    for (std::size_t k = 0; k < 6; ++k) {
+      const nn::Dim want =
+          searchable_dims()[static_cast<std::size_t>(c.rank[k])];
+      EXPECT_EQ(order[k + 1], want) << "case rank[0]=" << c.rank[0];
+      EXPECT_EQ(parallel[k], want);
+      if (k < 2) {
+        EXPECT_EQ(top2[k], want);
+      }
     }
   }
 }

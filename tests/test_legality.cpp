@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "arch/presets.hpp"
+#include "core/rng.hpp"
 #include "mapping/footprint.hpp"
+#include "test_seed.hpp"
 
 namespace naas::mapping {
 namespace {
@@ -190,6 +196,117 @@ TEST(GrowToFit, PeTilesStayWithinShares) {
     EXPECT_LE(tile_of(grown.pe.tile, d),
               pe_share(l, arch, grown.dram.tile, d));
   }
+}
+
+/// grow_to_fit as first written: every trial size re-derives the whole
+/// clamped three-operand footprint. The differential test below holds the
+/// production version to this reference.
+Mapping reference_grow_to_fit(Mapping m, const nn::Workload& layer,
+                              const arch::ArchConfig& arch,
+                              const ShrinkPriority& dram_priority,
+                              const ShrinkPriority& pe_priority) {
+  auto grow = [&layer](TileSizes& tiles, const ShrinkPriority& prio,
+                       auto bound_fn, long long cap) {
+    for (nn::Dim d : prio) {
+      const int bound = std::max(1, bound_fn(d));
+      int cur = tile_of(tiles, d);
+      if (cur >= bound) continue;
+      set_tile(tiles, d, bound);
+      if (tile_footprint(layer, tiles).total() <= cap) continue;
+      set_tile(tiles, d, cur);
+      while (cur < bound) {
+        const int next = std::min(bound, cur * 2);
+        set_tile(tiles, d, next);
+        if (tile_footprint(layer, tiles).total() > cap) {
+          set_tile(tiles, d, cur);
+          break;
+        }
+        cur = next;
+      }
+    }
+  };
+  grow(m.dram.tile, dram_priority,
+       [&](nn::Dim d) { return layer.dim_size(d); }, arch.l2_bytes);
+  grow(m.pe.tile, pe_priority,
+       [&](nn::Dim d) { return pe_share(layer, arch, m.dram.tile, d); },
+       arch.l1_bytes);
+  return m;
+}
+
+/// Log-uniform integer in [lo, hi].
+long long log_uniform(core::Rng& rng, long long lo, long long hi) {
+  const double v = std::exp(rng.uniform(std::log(static_cast<double>(lo)),
+                                        std::log(static_cast<double>(hi))));
+  return std::clamp(static_cast<long long>(v), lo, hi);
+}
+
+/// A random array with 1-3 active axes over distinct dims, and buffers
+/// from a few bytes (everything shrinks to ones) to far past any tile.
+arch::ArchConfig random_arch(core::Rng& rng) {
+  arch::ArchConfig a = arch::nvdla_256_arch();
+  a.num_array_dims = rng.uniform_int(1, 3);
+  const auto all = nn::all_dims();
+  std::vector<nn::Dim> dims(all.begin(), all.end());
+  rng.shuffle(dims);
+  for (std::size_t i = 0; i < 3; ++i) {
+    a.array_dims[i] = i < static_cast<std::size_t>(a.num_array_dims)
+                          ? 2 * rng.uniform_int(1, 32)
+                          : 1;
+    a.parallel_dims[i] = dims[i];
+  }
+  a.l1_bytes = log_uniform(rng, 3, 1LL << 16);
+  a.l2_bytes = log_uniform(rng, 16, 1LL << 36);
+  return a;
+}
+
+ShrinkPriority random_priority(core::Rng& rng) {
+  const auto all = nn::all_dims();
+  std::vector<nn::Dim> dims(all.begin(), all.end());
+  rng.shuffle(dims);
+  ShrinkPriority p{};
+  std::copy(dims.begin(), dims.end(), p.begin());
+  return p;
+}
+
+TEST(GrowToFit, MatchesFullRecomputeReference) {
+  const nn::Workload layers[] = {
+      nn::make_conv("c", 64, 128, 3, 1, 28),
+      nn::make_conv("s2k1", 32, 64, 1, 2, 28),      // stride > kernel
+      nn::make_conv("s4k3", 16, 32, 3, 4, 14, 2),   // stride > kernel, N=2
+      nn::make_dwconv("dw", 96, 3, 2, 56),
+      nn::make_fc("fc", 1280, 1000, 4),
+      nn::make_matmul("mm", 128, 768, 3072),
+      nn::make_attention_scores("qk", 8192, 8192, 128, 64),  // > 2^31 B tiles
+      nn::make_attention_context("av", 128, 128, 64, 12, 2),
+  };
+  core::Rng rng(test::sweep_seed(61));
+  int compared = 0;
+  for (const nn::Workload& layer : layers) {
+    for (int i = 0; i < 2600; ++i) {
+      const arch::ArchConfig arch = random_arch(rng);
+      Mapping m;
+      for (nn::Dim d : nn::all_dims()) {
+        set_tile(m.dram.tile, d,
+                 static_cast<int>(log_uniform(rng, 1, layer.dim_size(d))));
+        set_tile(m.pe.tile, d,
+                 static_cast<int>(log_uniform(rng, 1, layer.dim_size(d))));
+      }
+      m = repair(m, layer, arch, random_priority(rng));
+      ASSERT_TRUE(check(m, layer, arch).legal);
+      const ShrinkPriority dram_prio = random_priority(rng);
+      const ShrinkPriority pe_prio = random_priority(rng);
+      const Mapping want =
+          reference_grow_to_fit(m, layer, arch, dram_prio, pe_prio);
+      const Mapping got = grow_to_fit(m, layer, arch, dram_prio, pe_prio);
+      ASSERT_EQ(got.dram.tile, want.dram.tile) << layer.name << " #" << i;
+      ASSERT_EQ(got.pe.tile, want.pe.tile) << layer.name << " #" << i;
+      ASSERT_EQ(got.dram.order, want.dram.order);
+      ASSERT_EQ(got.pe.order, want.pe.order);
+      ASSERT_EQ(got.pe_order, want.pe_order);
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 20000);
 }
 
 }  // namespace

@@ -175,7 +175,9 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   opts.default_deadline_ms = 1;
   // One request per dispatched batch: the second request must wait in the
   // queue for the full first evaluation (far over 1 ms), so its default
-  // deadline deterministically expires before dispatch.
+  // deadline deterministically expires before dispatch. Request 1 carries
+  // its own generous deadline, so a loaded host that is slow to dispatch it
+  // cannot expire it; only request 2 relies on the default.
   opts.max_batch_requests = 1;
   // A whole-network evaluation (one search per unique layer) at a
   // mid-sized mapping budget holds the eval thread for tens of ms; at the
@@ -188,7 +190,7 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   LineClient client = ts.connect();
   ASSERT_TRUE(client.send_raw(
       "{\"id\":1,\"method\":\"evaluate_network\",\"arch\":{\"preset\":"
-      "\"nvdla256\"},\"network\":\"resnet50\"}\n"
+      "\"nvdla256\"},\"network\":\"resnet50\",\"deadline_ms\":60000}\n"
       "{\"id\":2,\"method\":\"cache_stats\"}\n"));
 
   std::string first, second;
