@@ -15,10 +15,7 @@
 //   --cost-backend <scalar|avx2|auto>
 //                         cost-kernel backend (default auto: CPUID picks
 //                         the fastest; results are identical regardless)
-//   --surrogate <off|prune>
-//                         analytical lower-bound pruning of candidates that
-//                         provably cannot win (search/cosearch; identical
-//                         returned design, fewer mapping searches)
+// Any other "-"-prefixed argument is rejected with the usage text (exit 2).
 //
 // Envelope names: edgetpu, nvdla1024, nvdla256, eyeriss, shidiannao.
 //
@@ -108,11 +105,6 @@ struct StoreFlags {
   /// --cost-backend override; nullopt = process default (NAAS_COST_BACKEND
   /// env or auto CPUID dispatch). Throughput-only: results are identical.
   std::optional<cost::BackendKind> cost_backend;
-  /// --surrogate safety valve (default off): prune provably-losing
-  /// candidates via the analytical lower bound before their mapping
-  /// searches. The returned design is identical either way (see
-  /// NaasOptions::surrogate); prune only skips work.
-  search::SurrogateMode surrogate = search::SurrogateMode::kOff;
 };
 
 /// Store diagnostics go to stderr so stdout stays a deterministic report
@@ -142,14 +134,6 @@ void report_pipeline(long long tasks) {
   std::fprintf(stderr, "pipeline: %lld graph tasks\n", tasks);
 }
 
-/// Surrogate-pruning summary (stderr): bound consultations and the
-/// mapping-search evaluations they provably made unnecessary.
-void report_surrogate(search::SurrogateMode mode, long long consults,
-                      long long pruned) {
-  std::fprintf(stderr, "surrogate: %s; %lld consults, %lld pruned\n",
-               search::surrogate_mode_name(mode), consults, pruned);
-}
-
 int cmd_search(const std::string& net_name, const std::string& env_name,
                int iterations, std::uint64_t seed, const StoreFlags& store) {
   const auto net = nn::make_network(net_name);
@@ -166,14 +150,11 @@ int cmd_search(const std::string& net_name, const std::string& env_name,
   opts.cache_path = store.cache_path;
   opts.cache_readonly = store.cache_readonly;
   opts.cost_backend = store.cost_backend;
-  opts.surrogate = store.surrogate;
   const auto res = search::run_naas(model, opts, {net});
   report_store(store, res.store_entries_loaded, res.mapping_searches);
   report_batch(res.generations_batched, res.candidates_batch_evaluated,
                res.cost_backend);
   report_pipeline(res.tasks_executed);
-  report_surrogate(opts.surrogate, res.surrogate_consults,
-                   res.surrogate_pruned);
   if (!std::isfinite(res.best_geomean_edp)) {
     std::fprintf(stderr, "search failed to find a valid design\n");
     return 1;
@@ -208,14 +189,11 @@ int cmd_cosearch(const std::string& env_name, double min_accuracy,
   opts.cache_path = store.cache_path;
   opts.cache_readonly = store.cache_readonly;
   opts.cost_backend = store.cost_backend;
-  opts.surrogate = store.surrogate;
   const auto res = nas::run_cosearch(model, opts);
   report_store(store, res.store_entries_loaded, res.mapping_searches);
   report_batch(res.generations_batched, res.candidates_batch_evaluated,
                res.cost_backend);
   report_pipeline(res.tasks_executed);
-  report_surrogate(opts.surrogate, res.surrogate_consults,
-                   res.surrogate_pruned);
   if (!std::isfinite(res.best_edp)) {
     std::fprintf(stderr,
                  "no accuracy-feasible subnet found; lower the floor\n");
@@ -242,11 +220,6 @@ int usage() {
                "       --cost-backend <scalar|avx2|auto>\n"
                "                            cost-kernel backend (default: "
                "auto CPUID dispatch)\n"
-               "       --surrogate <off|prune>\n"
-               "                            analytical lower-bound pruning "
-               "of provably-losing\n"
-               "                            candidates (default off; same "
-               "result, less work)\n"
                "for a long-lived batched query service over the same store,\n"
                "run naas_serve (see docs/serving.md)\n");
   return 2;
@@ -288,17 +261,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       store.cost_backend = *kind;
-    } else if (a == "--surrogate") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--surrogate requires a mode (off|prune)\n");
-        return usage();
-      }
-      const std::string name = argv[++i];
-      if (!search::parse_surrogate_mode(name, &store.surrogate)) {
-        std::fprintf(stderr, "unknown surrogate mode '%s' (off|prune)\n",
-                     name.c_str());
-        return usage();
-      }
+    } else if (a[0] == '-') {
+      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+      return usage();
     } else {
       args.push_back(a);
     }

@@ -32,16 +32,13 @@ run_bench() {
 # itself, the serving bench BENCH_serve.json, the batched-cost-model bench
 # BENCH_cost_batch.json, the async-pipeline bench BENCH_async.json, the
 # transformer smoke BENCH_transformer.json (batch==scalar and warm
-# zero-search asserted on matmul/attention workloads), the surrogate bench
-# BENCH_surrogate.json (roofline pruning saves mapping searches with the
-# returned best asserted unchanged), the TCP transport bench
+# zero-search asserted on matmul/attention workloads), the TCP transport bench
 # BENCH_net.json, the sharded-fleet bench BENCH_fleet.json (byte identity
 # to a single service, failover latency, and zero-search rejoin asserted);
 # table4 prints the serial-vs-parallel and cold-vs-warm comparisons.
 run_bench bench_cost_batch
 run_bench bench_transformer
 run_bench bench_async_pipeline
-run_bench bench_surrogate
 run_bench bench_parallel_scaling
 run_bench bench_serve_throughput
 run_bench bench_net

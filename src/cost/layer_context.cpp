@@ -1,10 +1,8 @@
 #include "cost/layer_context.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "cost/reuse.hpp"
-#include "mapping/footprint.hpp"
 
 namespace naas::cost {
 namespace {
@@ -50,55 +48,6 @@ LayerContext::LayerContext(const arch::ArchConfig& arch,
     if (tensor == Tensor::kInput) input_mask = mask;
     if (tensor == Tensor::kWeight) weight_mask = mask;
     if (tensor == Tensor::kOutput) output_mask = mask;
-  }
-
-  // Compulsory DRAM floors. Per tensor, a dimension contributes its full
-  // extent when the tensor's relevance mask holds it (its trip count then
-  // multiplies the reload factor, so tile * trips >= extent) and 1
-  // otherwise (the footprint still carries the tile as a factor >= 1, so
-  // dropping the dimension only weakens the bound — never breaks it). The
-  // input's coupled (output, kernel) spatial pairs use the identical halo
-  // extent the tile footprint uses; with both dims masked the per-pair
-  // product tile_halo * n_out * n_ker is minimized at full tiles, where it
-  // equals the full-tensor halo extent exactly.
-  {
-    const auto sel = [&](std::uint8_t mask, nn::Dim d) -> double {
-      const auto i = static_cast<std::size_t>(static_cast<int>(d));
-      return ((mask >> i) & 1u) != 0 ? static_cast<double>(dim_size[i]) : 1.0;
-    };
-    const auto halo_span = [&](nn::Dim out_d, nn::Dim ker_d) -> double {
-      const auto oi = static_cast<std::size_t>(static_cast<int>(out_d));
-      const auto ki = static_cast<std::size_t>(static_cast<int>(ker_d));
-      const bool has_out = ((input_mask >> oi) & 1u) != 0;
-      const bool has_ker = ((input_mask >> ki) & 1u) != 0;
-      const double out = static_cast<double>(dim_size[oi]);
-      const double ker = static_cast<double>(dim_size[ki]);
-      if (has_out && has_ker)
-        return (out - 1.0) * std::min<double>(stride, ker) + ker;
-      if (has_out) return out;
-      if (has_ker) return ker;
-      return 1.0;
-    };
-    const double bytes = static_cast<double>(mapping::kBytesPerElement);
-    const double in_ch = depthwise ? sel(input_mask, nn::Dim::kK)
-                                   : sel(input_mask, nn::Dim::kC);
-    compulsory_in_bytes = sel(input_mask, nn::Dim::kN) * in_ch *
-                          halo_span(nn::Dim::kYp, nn::Dim::kR) *
-                          halo_span(nn::Dim::kXp, nn::Dim::kS) * bytes;
-    // The weight footprint multiplies by the batch tile only for
-    // batch-indexed weights, so the floor may count N only in that case.
-    compulsory_w_bytes = (batched_weight ? sel(weight_mask, nn::Dim::kN)
-                                         : 1.0) *
-                         sel(weight_mask, nn::Dim::kK) *
-                         sel(weight_mask, nn::Dim::kC) *
-                         sel(weight_mask, nn::Dim::kR) *
-                         sel(weight_mask, nn::Dim::kS) * bytes;
-    compulsory_out_bytes = sel(output_mask, nn::Dim::kN) *
-                           sel(output_mask, nn::Dim::kK) *
-                           sel(output_mask, nn::Dim::kYp) *
-                           sel(output_mask, nn::Dim::kXp) * bytes;
-    compulsory_bytes =
-        compulsory_in_bytes + compulsory_w_bytes + compulsory_out_bytes;
   }
 
   num_axes = arch.num_array_dims;

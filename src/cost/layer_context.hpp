@@ -93,21 +93,6 @@ struct LayerContext {
   std::uint8_t weight_mask = 0;
   std::uint8_t output_mask = 0;
 
-  // ---- Compulsory DRAM floors (bytes) ----------------------------------
-  /// Mask-aware full-tensor byte sizes: what each operand must move across
-  /// the DRAM port at least once under ANY legal mapping (reload factors
-  /// only ever multiply a tile footprint by at least the relevant trip
-  /// counts, and ceil(size/tile) * tile >= size dimension by dimension;
-  /// the input floor uses the same halo extent formula as the footprint, so
-  /// the bound survives spatial/kernel tiling too). These are exact lower
-  /// bounds by construction — the analytical surrogate
-  /// (search/surrogate.*) builds its roofline from them, and a bound that
-  /// overshot the true cost would let pruning change search results.
-  double compulsory_in_bytes = 0;
-  double compulsory_w_bytes = 0;
-  double compulsory_out_bytes = 0;
-  double compulsory_bytes = 0;  ///< sum of the three operand floors
-
   // ---- Energy coefficients (pJ) ----------------------------------------
   double mac_energy_pj = 0;      ///< macs * mac_pj, fully precomputed
   double l1_access_pj = 0;       ///< per byte, capacity-dependent

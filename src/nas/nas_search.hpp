@@ -1,6 +1,5 @@
 #pragma once
 
-#include <limits>
 
 #include "arch/resources.hpp"
 #include "nn/accuracy_model.hpp"
@@ -24,21 +23,6 @@ struct SubnetEvolutionOptions {
   /// space of NHAS [12] (per-layer channels + quantization on a fixed
   /// topology) for the Fig. 10 comparison.
   bool width_and_expand_only = false;
-  /// Analytical surrogate pruning of subnet EDP evaluations (see
-  /// NaasOptions::surrogate): under kPrune, a subnet whose roofline lower
-  /// bound on this accelerator already exceeds the admission threshold
-  /// (the better of surrogate_admission and the evolution's own running
-  /// best) scores the bound instead of paying for its mapping searches.
-  /// Before any selection, pruned members ranked inside the parent set by
-  /// their bound are rescued (evaluated for real), so the parents — and
-  /// with them the whole breeding trajectory and the returned best — match
-  /// kOff exactly; only members that provably never breed keep the bound.
-  /// kOff (default) consults no bounds and preserves legacy behavior.
-  search::SurrogateMode surrogate = search::SurrogateMode::kOff;
-  /// External admission threshold for surrogate pruning — the caller's
-  /// best-known EDP before this evolution starts (run_cosearch passes its
-  /// running cross-candidate best). +inf disables the external bound.
-  double surrogate_admission = std::numeric_limits<double>::infinity();
 };
 
 /// Best subnet found for one accelerator candidate.
@@ -81,10 +65,6 @@ struct CoSearchOptions {
   /// before the co-search, flushed after it unless cache_readonly.
   std::string cache_path;
   bool cache_readonly = false;
-  /// Surrogate pruning mode, propagated into every subnet evolution (the
-  /// running cross-candidate best EDP becomes the external admission
-  /// threshold). See SubnetEvolutionOptions::surrogate.
-  search::SurrogateMode surrogate = search::SurrogateMode::kOff;
   /// Cost-kernel backend override (see NaasOptions::cost_backend).
   std::optional<cost::BackendKind> cost_backend;
 };
@@ -106,11 +86,6 @@ struct CoSearchResult {
   /// Always 0: speculative prefetch was removed; kept so readers compile.
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
-  /// Surrogate-pruning meters (see CoSearchOptions::surrogate): bound
-  /// consultations across every subnet evolution, and the subnet
-  /// evaluations they pruned. Both 0 under kOff.
-  long long surrogate_consults = 0;
-  long long surrogate_pruned = 0;
   /// Entries warm-started from CoSearchOptions::cache_path.
   long long store_entries_loaded = 0;
   /// Resolved cost-kernel backend (see NaasResult::cost_backend).

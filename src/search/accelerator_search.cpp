@@ -279,14 +279,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     std::vector<arch::ArchConfig> configs;  ///< current generation decodes
     std::vector<double> edps;               ///< per-genome fitness slots
     int iter = 0;
-    /// Admitted (fully evaluated) genomes still outstanding this
-    /// generation; when the count hits zero the deferred surrogate-prune
-    /// decisions resolve against the generation's mu-th-best fitness.
-    std::size_t admitted_pending = 0;
-    /// Deferred surrogate candidates: (slot, lower bound) for genomes whose
-    /// bound exceeded the admission threshold. They report only after the
-    /// admitted results are in (see resolve_pruned_locked).
-    std::vector<std::pair<std::size_t, double>> pruned;
   } outer;
 
   std::function<void()> start_generation;  // assigned below; tasks recurse
@@ -331,136 +323,37 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     report_locked(k, edp);
   };
 
-  // Resolves this generation's deferred surrogate candidates once every
-  // admitted genome has reported. CmaEs::tell is rank-only (see
-  // CmaEs::parents), so a pruned candidate may keep its lower bound as
-  // fitness exactly when the bound is strictly worse than the generation's
-  // mu-th best reported fitness: the candidate then sits outside the parent
-  // set under either its bound or its (>= bound) true cost, and the
-  // distribution update is bit-identical to surrogate-off. A bound that is
-  // not strictly worse could re-rank the parents, so that candidate is
-  // rescued — evaluated for real like any admitted genome. Every input here
-  // (the reported fitness vector, the bounds, mu) is deterministic, so the
-  // kept/rescued split — and with it every meter — is thread-count and
-  // schedule independent. Runs under outer.mutex.
-  const auto resolve_pruned_locked = [&] {
-    if (outer.pruned.empty()) return;
-    std::vector<std::pair<std::size_t, double>> pruned;
-    pruned.swap(outer.pruned);
-    std::vector<char> deferred(outer.edps.size(), 0);
-    for (const auto& [k, lb] : pruned) deferred[k] = 1;
-    std::vector<double> reported;
-    reported.reserve(outer.edps.size());
-    for (std::size_t k = 0; k < outer.edps.size(); ++k)
-      if (!deferred[k]) reported.push_back(outer.edps[k]);
-    const std::size_t mu = std::min<std::size_t>(
-        static_cast<std::size_t>(cma.parents()), outer.edps.size());
-    double threshold = std::numeric_limits<double>::infinity();
-    if (mu > 0 && reported.size() >= mu) {
-      std::nth_element(reported.begin(),
-                       reported.begin() + static_cast<std::ptrdiff_t>(mu - 1),
-                       reported.end());
-      threshold = reported[mu - 1];
-    }
-    for (const auto& [k, lb] : pruned) {
-      const bool keep = lb > threshold;
-      evaluator.note_surrogate_consult(keep);
-      if (keep) {
-        // Outside the parent set and above the admission threshold: its
-        // mapping searches can change neither the distribution update nor
-        // the returned best. The bound stands in as its fitness.
-        report_locked(k, lb);
-      } else {
-        const auto deps =
-            pipeline.request_benchmarks(outer.configs[k], benchmarks);
-        graph.submit(
-            [&outer, &evaluator, &benchmarks, &report, k] {
-              report(k,
-                     evaluator.assembled_geomean(outer.configs[k], benchmarks));
-            },
-            deps);
-      }
-    }
-  };
-
-  // Fitness report from an admitted genome's assembly task; the last one
-  // triggers the deferred prune resolution above. Resolution runs BEFORE
-  // this slot's tell_partial: the threshold must see this fitness, and the
-  // kept/rescued reports must land while this slot still holds the
-  // generation open (tell_partial completing the generation recurses into
-  // the next one, which would repoint outer.pruned).
-  const auto report_admitted = [&](std::size_t k, double edp) {
-    std::lock_guard<std::mutex> lk(outer.mutex);
-    outer.edps[k] = edp;
-    if (--outer.admitted_pending == 0) resolve_pruned_locked();
-    if (cma.tell_partial(k, edp)) generation_complete();
-  };
-
-  // Samples a generation, submits one assembly task per admitted genome
+  // Samples a generation, submits one assembly task per feasible genome
   // (gated on exactly its layer chains), and reports infeasible genomes
-  // immediately. Surrogate-deferred genomes resolve when the admitted
-  // results are in. Called with outer.mutex held.
+  // immediately. Called with outer.mutex held.
   start_generation = [&] {
     const auto& population = cma.begin_generation(is_valid);
     const std::size_t lambda = population.size();
     outer.configs.assign(lambda, arch::ArchConfig{});
     outer.edps.assign(lambda, std::numeric_limits<double>::infinity());
-    // Admission threshold of this generation's surrogate gate: the best
-    // geomean EDP known when the generation starts. Generation starts are
-    // structural (the completing report of the previous generation, or the
-    // seed finalize), so the threshold — and the pruned set — is identical
-    // for every thread count.
-    const double admission = result.best_geomean_edp;
     std::vector<std::size_t> infeasible;
-    std::vector<std::size_t> admitted;
-    outer.pruned.clear();
     for (std::size_t k = 0; k < lambda; ++k) {
       outer.configs[k] = hw.decode(population[k]);
       if (!options.resources.allows(outer.configs[k])) {
         infeasible.push_back(k);
         continue;
       }
-      if (options.surrogate == SurrogateMode::kPrune &&
-          std::isfinite(admission)) {
-        const double lb = surrogate_geomean_edp_bound(
-            backend_model, outer.configs[k], benchmarks);
-        if (lb > admission) {
-          // The bound is exact, so this candidate's true geomean EDP is at
-          // least `lb` > the best already found: paying for its mapping
-          // searches cannot change the returned design. Whether it may
-          // also skip them without perturbing the distribution update is
-          // decided against the generation's parent ranks once the
-          // admitted results are in (resolve_pruned_locked); the consult
-          // meter is noted there, with the final verdict.
-          outer.pruned.emplace_back(k, lb);
-          continue;
-        }
-        evaluator.note_surrogate_consult(false);
-      }
-      admitted.push_back(k);
-    }
-    outer.admitted_pending = admitted.size();
-    for (const std::size_t k : admitted) {
       const auto deps =
           pipeline.request_benchmarks(outer.configs[k], benchmarks);
       graph.submit(
-          [&outer, &evaluator, &benchmarks, &report_admitted, k] {
+          [&outer, &evaluator, &benchmarks, &report, k] {
             // Pure assembly: this task is gated on exactly its layer
             // chains, so every key is resident — no pipeline needed.
-            report_admitted(
-                k, evaluator.assembled_geomean(outer.configs[k], benchmarks));
+            report(k,
+                   evaluator.assembled_geomean(outer.configs[k], benchmarks));
           },
           deps);
     }
     // Infeasible genomes cost nothing to score; reporting them last keeps
-    // a generation with no admitted candidate correct (the final report
+    // a generation with no feasible candidate correct (the final report
     // completes the generation and recurses into the next one right here).
     for (const std::size_t k : infeasible)
       report_locked(k, std::numeric_limits<double>::infinity());
-    // No admitted genome will fire the resolution trigger: resolve the
-    // deferred candidates now (with nothing finite reported, they are all
-    // rescued — rank fidelity cannot spare any of them).
-    if (admitted.empty()) resolve_pruned_locked();
   };
 
   // Warm start: evaluate the seed designs (reference baseline + any user
@@ -530,8 +423,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   result.generations_batched = evaluator.generations_batched();
   result.candidates_batch_evaluated = evaluator.candidates_batch_evaluated();
   result.tasks_executed = evaluator.tasks_executed();
-  result.surrogate_consults = evaluator.surrogate_consults();
-  result.surrogate_pruned = evaluator.surrogate_pruned();
   result.wall_seconds = timer.seconds();
   return result;
 }

@@ -16,7 +16,6 @@
 #include "search/eval_cache.hpp"
 #include "search/mapping_search.hpp"
 #include "search/result_store.hpp"
-#include "search/surrogate.hpp"
 
 namespace naas::search {
 
@@ -106,18 +105,6 @@ class ArchEvaluator {
   /// breakdown depends only on its budget.
   long long tasks_executed() const;
 
-  /// Surrogate-pruning meters: lower-bound consultations the outer search
-  /// charged to this evaluator, and how many of them pruned (skipped) a
-  /// candidate's full mapping-search evaluation. Zero unless a driver runs
-  /// with SurrogateMode::kPrune.
-  long long surrogate_consults() const { return surrogate_consults_.load(); }
-  long long surrogate_pruned() const { return surrogate_pruned_.load(); }
-  /// Meters one surrogate consultation (and whether it pruned).
-  void note_surrogate_consult(bool pruned) {
-    surrogate_consults_.fetch_add(1);
-    if (pruned) surrogate_pruned_.fetch_add(1);
-  }
-
   /// Aggregated TaskGraph accounting across every pipeline this evaluator
   /// ran (busy/wall seconds feed the pool-idle-fraction measurement in
   /// bench_async_pipeline).
@@ -167,11 +154,6 @@ class ArchEvaluator {
     return cache_.snapshot_since(since, high_mark);
   }
 
-  /// The cost model evaluation runs under — surrogate bounds must be
-  /// computed against the same model (energy parameters) that scores the
-  /// real evaluations, or they would stop being bounds.
-  const cost::CostModel& model() const { return model_; }
-
   core::ThreadPool* pool() const { return pool_; }
 
  private:
@@ -207,8 +189,6 @@ class ArchEvaluator {
   std::atomic<long long> mapping_searches_{0};
   std::atomic<long long> generations_batched_{0};
   std::atomic<long long> candidates_batch_evaluated_{0};
-  std::atomic<long long> surrogate_consults_{0};
-  std::atomic<long long> surrogate_pruned_{0};
   mutable std::mutex sched_mutex_;
   core::TaskGraph::Stats sched_stats_;
   std::size_t store_entries_loaded_ = 0;
@@ -246,22 +226,6 @@ struct NaasOptions {
   std::string cache_path;
   /// Load the store but never write it back (shared/read-only caches).
   bool cache_readonly = false;
-  /// Analytical surrogate pruning (search/surrogate.*): under kPrune, each
-  /// resource-feasible candidate's roofline lower bound is compared with
-  /// the best geomean EDP known at its generation's start. Candidates
-  /// whose bound already exceeds it are deferred; once the rest of the
-  /// generation has reported, the ones whose bound is also strictly worse
-  /// than the generation's mu-th best fitness skip the full mapping-search
-  /// evaluation (the bound stands in as their fitness), and the rest are
-  /// evaluated after all. Because the bound is exact and CmaEs::tell is
-  /// rank-only (see CmaEs::parents), the pruned candidates sit outside the
-  /// parent set under bound or true cost alike: the search trajectory, the
-  /// returned best, and population_best_edp are all bit-identical to kOff
-  /// at every thread count. Only population_mean_edp may differ (it
-  /// averages the stand-in bounds), plus the work/meter counts that
-  /// pruning exists to reduce. kOff (default) preserves legacy behavior
-  /// exactly, consulting no bounds at all.
-  SurrogateMode surrogate = SurrogateMode::kOff;
   /// Cost-kernel backend override (--cost-backend). nullopt leaves the
   /// caller's CostModel untouched; a value re-targets evaluation onto a
   /// copy of the model with that backend selected (kAuto picks the best
@@ -287,10 +251,6 @@ struct NaasResult {
   /// Always 0: speculative prefetch was removed; kept so readers compile.
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
-  /// Surrogate-pruning meters (see NaasOptions::surrogate): lower-bound
-  /// consultations and the candidates they pruned. Both 0 under kOff.
-  long long surrogate_consults = 0;
-  long long surrogate_pruned = 0;
   /// Entries warm-started from NaasOptions::cache_path (0 when disabled,
   /// missing, or rejected).
   long long store_entries_loaded = 0;

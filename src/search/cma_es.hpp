@@ -81,14 +81,6 @@ class CmaEs {
   /// Generations processed so far.
   int generation() const { return generation_; }
 
-  /// Configured parent count mu. tell() consumes fitness values ONLY
-  /// through the rank order of the best min(mu, lambda) candidates — the
-  /// update never reads a fitness numerically — so a candidate whose
-  /// reported fitness is strictly worse than the generation's mu-th best
-  /// influences the distribution identically no matter what that value is.
-  /// The surrogate pruning gate in run_naas rests on this contract.
-  int parents() const { return mu_; }
-
   /// Candidates that exhausted max_resample and fell back to the clamped
   /// mean. ask() therefore never returns a point the caller's decode cannot
   /// handle; a rapidly growing counter means the validity predicate rejects

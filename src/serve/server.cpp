@@ -341,13 +341,14 @@ void Server::run() {
     if (listener_.listening() &&
         conns_.size() < static_cast<std::size_t>(options_.max_connections))
       poller_.add(listener_.fd(), true, false);
-    for (const auto& [id, conn] : conns_) {
+    for (auto& [id, conn] : conns_) {
       const bool want_read =
           !draining_ && !conn.read_closed &&
           conn.outbuf.size() < options_.max_output_buffer_bytes;
       const bool want_write = !conn.outbuf.empty();
       if (want_read || want_write)
         poller_.add(conn.fd.get(), want_read, want_write);
+      conn.read_polled |= want_read;
     }
 
     const int timeout_ms =
@@ -396,7 +397,8 @@ void Server::run() {
                             conn.outstanding == 0;
       if (finished && (conn.close_after_flush || conn.read_closed))
         close_conn(id);
-      else if (finished && options_.idle_timeout_ms > 0 &&
+      else if (finished && conn.read_polled &&
+               options_.idle_timeout_ms > 0 &&
                Clock::now() - conn.last_activity >
                    std::chrono::milliseconds(options_.idle_timeout_ms)) {
         ++stats_.connections_reaped;

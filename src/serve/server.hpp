@@ -151,6 +151,10 @@ class Server {
     bool read_closed = false;       ///< EOF seen or framing abandoned
     bool close_after_flush = false;
     Clock::time_point last_activity;
+    /// Has been in a poll set with read interest. Only such a connection
+    /// may be reaped as idle: one accepted this iteration may already hold
+    /// a request that no poll has shown yet.
+    bool read_polled = false;
   };
 
   void eval_loop();

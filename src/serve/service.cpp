@@ -337,13 +337,6 @@ Json EvalService::cache_stats_json() const {
   obj.set("candidates_batch_evaluated",
           Json::integer(evaluator_.candidates_batch_evaluated()));
   obj.set("tasks_executed", Json::integer(evaluator_.tasks_executed()));
-  // Surrogate-pruning meters: the serving path itself consults no bounds
-  // (it evaluates every request), so these stay 0 unless a warm-started
-  // search driver shares the evaluator; surfaced for parity with the
-  // search drivers' stderr summaries.
-  obj.set("surrogate_consults",
-          Json::integer(evaluator_.surrogate_consults()));
-  obj.set("surrogate_pruned", Json::integer(evaluator_.surrogate_pruned()));
   obj.set("store_entries_loaded",
           Json::integer(
               static_cast<std::int64_t>(evaluator_.store_entries_loaded())));

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "arch/presets.hpp"
+#include "search/encoding.hpp"
 
 namespace naas::nas {
 namespace {
@@ -90,6 +93,38 @@ TEST(CoSearch, ReturnsMatchedTuple) {
   EXPECT_GE(res.best_accuracy, opts.subnet.min_accuracy);
   EXPECT_GT(res.cost_evaluations, 0);
   EXPECT_GT(res.wall_seconds, 0.0);
+}
+
+TEST(CoSearch, ResultIsPinnedAcrossThreadCounts) {
+  // Pins the whole co-search outcome — winner, score and work meters — to
+  // values recorded from a reference run, at 1 and at 4 threads. Any change
+  // to subnet breeding, outer CMA-ES, mapping search or the cost model that
+  // moves the result (or makes it thread-count dependent) fails here.
+  const cost::CostModel model;
+  CoSearchOptions opts;
+  opts.resources = arch::eyeriss_resources();
+  opts.hw_population = 4;
+  opts.hw_iterations = 2;
+  opts.seed = 11;
+  opts.mapping = tiny_mapping();
+  opts.subnet.min_accuracy = 77.0;
+  opts.subnet.population = 6;
+  opts.subnet.iterations = 3;
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    opts.num_threads = threads;
+    const CoSearchResult res = run_cosearch(model, opts);
+    EXPECT_EQ(bits(res.best_edp), 0x42fb693f326810aeULL)
+        << std::hexfloat << res.best_edp;
+    EXPECT_EQ(bits(res.best_accuracy), 0x405342ffa989b790ULL)
+        << std::hexfloat << res.best_accuracy;
+    EXPECT_EQ(res.best_net.fingerprint(), 0x24c6a25e6da02dfcULL);
+    EXPECT_EQ(search::arch_fingerprint(res.best_arch), 0x3f643736453b630eULL);
+    EXPECT_EQ(res.mapping_searches, 2056);
+    EXPECT_EQ(res.cost_evaluations, 43176);
+  }
 }
 
 TEST(CoSearch, JointBeatsFixedNetOnEdp) {

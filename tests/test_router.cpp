@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/serialize.hpp"
 #include "fleet/replicator.hpp"
 #include "net/socket.hpp"
 #include "serve/server.hpp"
@@ -211,20 +213,53 @@ TEST(Router, InjectedForwardFaultFailsOverNotDegrades) {
 }
 
 TEST(Router, InjectedStallEatsDeadlineThenFailsOver) {
+  // A stalled forward sends nothing, so no worker answer can end it: only
+  // the deadline can. Each phase is ordered by the test, never by how fast
+  // the host runs: the only timing asserted is a lower bound, and the
+  // failover runs under the same generous deadline as every other test.
   TestWorker w0, w1;
   ASSERT_TRUE(w0.ok && w1.ok);
-  fleet::RouterOptions opts = router_options({w0.port(), w1.port()});
-  opts.forward_timeout_ms = 300;  // the stalled attempt must die fast
-  fleet::Router router(opts);
-
   const std::vector<std::string> lines = {
       "{\"id\":1,\"method\":\"nonsense\"}"};  // cheap, pure response
   const std::vector<std::string> expected = reference_responses(lines);
 
+  {
+    // Phase 1: the stall eats the deadline. With one worker there is no
+    // failover, so the line comes back degraded, and no sooner than that.
+    fleet::RouterOptions opts = router_options({w0.port()});
+    opts.forward_timeout_ms = 300;
+    fleet::Router router(opts);
+    ScopedFaults faults("seed=2,router_forward_stall=1@1");
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<std::string> got = router.handle_lines(lines);
+    const auto waited = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_NE(got[0].find("\"degraded\""), std::string::npos) << got[0];
+    EXPECT_GE(waited, std::chrono::milliseconds(250));
+    EXPECT_EQ(core::FaultInjector::instance().fired("router_forward_stall"),
+              1);
+    EXPECT_EQ(router.stats().forward_failures, 1);
+  }
+
+  // Phase 2: the stalled line fails over byte-identically. Both connections
+  // are pooled first, then the line's primary worker stops, so the stalled
+  // attempt reads EOF on its pooled connection instead of waiting out a
+  // deadline; the healthy forward that follows has the full 30 s budget.
+  fleet::Router router(router_options({w0.port(), w1.port()}));
+  router.probe_now();
+  ASSERT_EQ(router.workers_up(), 2u);
+  TestWorker* workers[] = {&w0, &w1};
+  const std::size_t primary = router.ring().owner(core::fnv1a64(lines[0]));
+  workers[primary]->stop();
+
   ScopedFaults faults("seed=2,router_forward_stall=1@1");
   const std::vector<std::string> got = router.handle_lines(lines);
   EXPECT_EQ(got, expected);
-  EXPECT_GE(router.stats().forward_failures, 1);
+  EXPECT_EQ(core::FaultInjector::instance().fired("router_forward_stall"), 1);
+  const fleet::RouterStats stats = router.stats();
+  EXPECT_GE(stats.forward_failures, 1);
+  EXPECT_EQ(stats.failovers, 1);
+  EXPECT_EQ(stats.degraded_lines, 0);
 }
 
 TEST(Router, ProbeNowTracksLivenessAndRecovers) {

@@ -72,13 +72,24 @@ struct TestServer {
 
   ~TestServer() { stop(); }
 
-  bool start() {
+  /// Binds and listens; clients can connect (and send) from here on, but
+  /// nothing is accepted or read until run_async().
+  bool listen() {
     std::string err;
     if (!server.start(&err)) {
       ADD_FAILURE() << err;
       return false;
     }
+    return true;
+  }
+
+  void run_async() {
     runner = std::thread([this] { server.run(); });
+  }
+
+  bool start() {
+    if (!listen()) return false;
+    run_async();
     return true;
   }
 
@@ -276,13 +287,19 @@ TEST(Server, IdleConnectionsAreReaped) {
   ServerOptions opts = loopback_options();
   opts.idle_timeout_ms = 50;
   TestServer ts(opts);
-  ASSERT_TRUE(ts.start());
+  // The request is sent before the server loop starts, so it is already
+  // buffered when the connection is accepted, and a connection is only
+  // reaped after a poll found it silent: request 1 is answered however
+  // long this thread stalls between connect and send.
+  ASSERT_TRUE(ts.listen());
   LineClient client = ts.connect();
   ASSERT_TRUE(client.send_line("{\"id\":1,\"method\":\"cache_stats\"}"));
+  ts.run_async();
   std::string line;
   ASSERT_TRUE(client.read_line(&line, kReadTimeoutMs));
+  EXPECT_EQ(parse_response(line).get("id")->as_int(), 1);
   // No further traffic: the server closes the connection from its side.
-  EXPECT_FALSE(client.read_line(&line, 5000));
+  EXPECT_FALSE(client.read_line(&line, kReadTimeoutMs));
   EXPECT_TRUE(client.eof());
   ts.stop();
   EXPECT_GE(ts.server.stats().connections_reaped, 1);
