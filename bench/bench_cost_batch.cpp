@@ -1,13 +1,11 @@
 // Batched cost model throughput: per-candidate CostModel::evaluate (one
 // LayerContext rebuilt per call — the pre-batching search inner loop)
 // versus CostModel::evaluate_batch at generation-sized batches, on a mixed
-// conv / depthwise / pointwise / FC layer set — and, per cost backend
-// (scalar reference vs every SIMD backend this CPU can run), batched
-// candidates/s plus the p50 wall time of one full scoring pass at each
-// batch size. Emits BENCH_cost_batch.json with the per-backend rates and
-// two bit-identity verdicts CI asserts: batch-vs-scalar-entry-point
-// ("batch_identical_to_scalar") and SIMD-vs-scalar-backend
-// ("simd_identical_to_scalar").
+// conv / depthwise / pointwise / FC layer set: batched candidates/s plus
+// the p50 wall time of one full scoring pass at each batch size. Emits
+// BENCH_cost_batch.json with those rates and the bit-identity verdict CI
+// asserts: batch vs the per-candidate entry point
+// ("batch_identical_to_scalar").
 
 #include "bench_common.hpp"
 
@@ -160,12 +158,6 @@ Rate measure_batched(const cost::CostModel& model,
   return r;
 }
 
-/// Per-backend result block for the JSON report.
-struct BackendRates {
-  std::string name;
-  std::vector<Rate> rates;
-};
-
 void reproduce_cost_batch() {
   bench::print_header(
       "Batched cost model: scalar vs struct-of-arrays generation scoring");
@@ -182,41 +174,25 @@ void reproduce_cost_batch() {
                     make_candidates(rng, arch, layer, kCandidatesPerLayer),
                     model.make_context(arch, layer)});
 
-  // The backend roster: the scalar reference plus every SIMD backend this
-  // build + CPU can actually run.
-  std::vector<cost::BackendKind> kinds = {cost::BackendKind::kScalar};
-  if (cost::backend_available(cost::BackendKind::kAvx2))
-    kinds.push_back(cost::BackendKind::kAvx2);
-
-  // Bit-identity first, on every backend: every batch size must reproduce
-  // the per-candidate scalar reports byte for byte. `identical` covers the
-  // default model's batch-vs-scalar-entry-point invariant (the historical
-  // CI gate); `simd_identical` covers SIMD-backend-vs-scalar-backend.
+  // Bit-identity first: every batch size must reproduce the per-candidate
+  // scalar reports byte for byte.
   bool identical = true;
-  bool simd_identical = true;
   const std::size_t batch_sizes[] = {1, 8, 64};
   for (const Workload& w : work) {
     std::vector<std::string> scalar;
     for (const auto& m : w.candidates)
       scalar.push_back(serialize_report(model.evaluate(arch, w.layer, m)));
-    for (cost::BackendKind kind : kinds) {
-      const cost::CostModel backend_model(cost::EnergyModel{}, kind);
-      for (std::size_t bs : batch_sizes) {
-        std::vector<cost::CostReport> reports(w.candidates.size());
-        for (std::size_t lo = 0; lo < w.candidates.size(); lo += bs) {
-          const std::size_t len = std::min(bs, w.candidates.size() - lo);
-          backend_model.evaluate_batch(
-              w.ctx,
-              std::span<const mapping::Mapping>(w.candidates)
-                  .subspan(lo, len),
-              std::span<cost::CostReport>(reports).subspan(lo, len));
-        }
-        for (std::size_t i = 0; i < reports.size(); ++i)
-          if (serialize_report(reports[i]) != scalar[i]) {
-            if (kind == cost::BackendKind::kScalar) identical = false;
-            else simd_identical = false;
-          }
+    for (std::size_t bs : batch_sizes) {
+      std::vector<cost::CostReport> reports(w.candidates.size());
+      for (std::size_t lo = 0; lo < w.candidates.size(); lo += bs) {
+        const std::size_t len = std::min(bs, w.candidates.size() - lo);
+        model.evaluate_batch(
+            w.ctx,
+            std::span<const mapping::Mapping>(w.candidates).subspan(lo, len),
+            std::span<cost::CostReport>(reports).subspan(lo, len));
       }
+      for (std::size_t i = 0; i < reports.size(); ++i)
+        if (serialize_report(reports[i]) != scalar[i]) identical = false;
     }
   }
 
@@ -232,37 +208,28 @@ void reproduce_cost_batch() {
   });
   const double scalar_rate = scalar_m.candidates_per_sec;
 
-  // Per-backend batched throughput + p50 pass latency.
-  std::vector<BackendRates> backends;
-  for (cost::BackendKind kind : kinds) {
-    const cost::CostModel backend_model(cost::EnergyModel{}, kind);
-    BackendRates br;
-    br.name = backend_model.backend_name();
-    for (std::size_t bs : batch_sizes) {
-      Rate r = measure_batched(backend_model, work, bs, kMinSeconds);
-      r.speedup = scalar_rate > 0 ? r.candidates_per_sec / scalar_rate : 0;
-      br.rates.push_back(r);
-    }
-    backends.push_back(std::move(br));
+  // Batched throughput + p50 pass latency per batch size.
+  std::vector<Rate> rates;
+  for (std::size_t bs : batch_sizes) {
+    Rate r = measure_batched(model, work, bs, kMinSeconds);
+    r.speedup = scalar_rate > 0 ? r.candidates_per_sec / scalar_rate : 0;
+    rates.push_back(r);
   }
 
-  core::Table t({"Path", "Backend", "Batch", "Candidates/s", "Speedup",
-                 "p50 pass (ms)", "Identical to scalar"});
-  t.add_row({"scalar evaluate()", "-", "1",
+  core::Table t({"Path", "Batch", "Candidates/s", "Speedup", "p50 pass (ms)",
+                 "Identical to scalar"});
+  t.add_row({"scalar evaluate()", "1",
              core::Table::fmt_int(static_cast<long long>(scalar_rate)),
              "1.00", core::Table::fmt(scalar_m.p50_pass_ms, 3),
              "(reference)"});
-  for (const BackendRates& br : backends)
-    for (const Rate& r : br.rates)
-      t.add_row({"evaluate_batch", br.name,
-                 core::Table::fmt_int(static_cast<long long>(r.batch_size)),
-                 core::Table::fmt_int(
-                     static_cast<long long>(r.candidates_per_sec)),
-                 core::Table::fmt(r.speedup, 2),
-                 core::Table::fmt(r.p50_pass_ms, 3),
-                 (br.name == "scalar" ? identical : simd_identical)
-                     ? "yes"
-                     : "NO (BUG)"});
+  for (const Rate& r : rates)
+    t.add_row({"evaluate_batch",
+               core::Table::fmt_int(static_cast<long long>(r.batch_size)),
+               core::Table::fmt_int(
+                   static_cast<long long>(r.candidates_per_sec)),
+               core::Table::fmt(r.speedup, 2),
+               core::Table::fmt(r.p50_pass_ms, 3),
+               identical ? "yes" : "NO (BUG)"});
   std::printf("%s\n", t.to_string().c_str());
 
   FILE* f = std::fopen("BENCH_cost_batch.json", "w");
@@ -275,47 +242,19 @@ void reproduce_cost_batch() {
   std::fprintf(f, "  \"arch\": \"%s\",\n", arch.name.c_str());
   std::fprintf(f, "  \"layers\": %d,\n", static_cast<int>(work.size()));
   std::fprintf(f, "  \"candidates_per_layer\": %d,\n", kCandidatesPerLayer);
-  std::fprintf(f, "  \"default_backend\": \"%s\",\n", model.backend_name());
   std::fprintf(f, "  \"scalar_candidates_per_sec\": %.1f,\n", scalar_rate);
-  // The default model's batched rates (backwards-compatible surface).
-  const BackendRates& default_rates =
-      [&]() -> const BackendRates& {
-    for (const BackendRates& br : backends)
-      if (br.name == model.backend_name()) return br;
-    return backends.front();
-  }();
   std::fprintf(f, "  \"batched\": [\n");
-  for (std::size_t i = 0; i < default_rates.rates.size(); ++i) {
-    const Rate& r = default_rates.rates[i];
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const Rate& r = rates[i];
     std::fprintf(f,
                  "    {\"batch_size\": %d, \"candidates_per_sec\": %.1f, "
                  "\"speedup_vs_scalar\": %.3f, \"p50_pass_ms\": %.4f}%s\n",
                  static_cast<int>(r.batch_size), r.candidates_per_sec,
-                 r.speedup, r.p50_pass_ms,
-                 i + 1 < default_rates.rates.size() ? "," : "");
+                 r.speedup, r.p50_pass_ms, i + 1 < rates.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"backends\": [\n");
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    const BackendRates& br = backends[b];
-    std::fprintf(f, "    {\"name\": \"%s\", \"batched\": [\n",
-                 br.name.c_str());
-    for (std::size_t i = 0; i < br.rates.size(); ++i) {
-      const Rate& r = br.rates[i];
-      std::fprintf(f,
-                   "      {\"batch_size\": %d, \"candidates_per_sec\": %.1f, "
-                   "\"speedup_vs_scalar\": %.3f, \"p50_pass_ms\": %.4f}%s\n",
-                   static_cast<int>(r.batch_size), r.candidates_per_sec,
-                   r.speedup, r.p50_pass_ms,
-                   i + 1 < br.rates.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", b + 1 < backends.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"batch_identical_to_scalar\": %s,\n",
+  std::fprintf(f, "  \"batch_identical_to_scalar\": %s\n",
                identical ? "true" : "false");
-  std::fprintf(f, "  \"simd_identical_to_scalar\": %s\n",
-               simd_identical ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_cost_batch.json\n");

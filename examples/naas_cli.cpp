@@ -12,9 +12,6 @@
 //   --cache-path <file>   persistent mapping-result store: warm-start from
 //                         it and flush back to it (search/cosearch)
 //   --cache-readonly      load the store but never write it back
-//   --cost-backend <scalar|avx2|auto>
-//                         cost-kernel backend (default auto: CPUID picks
-//                         the fastest; results are identical regardless)
 // Any other "-"-prefixed argument is rejected with the usage text (exit 2).
 //
 // Envelope names: edgetpu, nvdla1024, nvdla256, eyeriss, shidiannao.
@@ -27,13 +24,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/presets.hpp"
-#include "cost/backend.hpp"
 #include "cost/report.hpp"
 #include "mapping/canonical.hpp"
 #include "nas/nas_search.hpp"
@@ -102,9 +97,6 @@ int cmd_layer(const std::string& net_name, const std::string& env_name,
 struct StoreFlags {
   std::string cache_path;
   bool cache_readonly = false;
-  /// --cost-backend override; nullopt = process default (NAAS_COST_BACKEND
-  /// env or auto CPUID dispatch). Throughput-only: results are identical.
-  std::optional<cost::BackendKind> cost_backend;
 };
 
 /// Store diagnostics go to stderr so stdout stays a deterministic report
@@ -120,13 +112,11 @@ void report_store(const StoreFlags& store, long long entries_loaded,
 }
 
 /// Batched-cost-model work summary (stderr, like the store diagnostics).
-/// `backend` is the resolved cost-kernel backend that scored the run.
-void report_batch(long long generations, long long candidates,
-                  const std::string& backend) {
+void report_batch(long long generations, long long candidates) {
   std::fprintf(stderr,
                "batch: %lld CMA generations batch-evaluated (%lld "
-               "candidates) on %s cost backend\n",
-               generations, candidates, backend.c_str());
+               "candidates)\n",
+               generations, candidates);
 }
 
 /// Async-pipeline work summary (stderr): scheduler tasks run.
@@ -149,11 +139,9 @@ int cmd_search(const std::string& net_name, const std::string& env_name,
   opts.mapping.iterations = 6;
   opts.cache_path = store.cache_path;
   opts.cache_readonly = store.cache_readonly;
-  opts.cost_backend = store.cost_backend;
   const auto res = search::run_naas(model, opts, {net});
   report_store(store, res.store_entries_loaded, res.mapping_searches);
-  report_batch(res.generations_batched, res.candidates_batch_evaluated,
-               res.cost_backend);
+  report_batch(res.generations_batched, res.candidates_batch_evaluated);
   report_pipeline(res.tasks_executed);
   if (!std::isfinite(res.best_geomean_edp)) {
     std::fprintf(stderr, "search failed to find a valid design\n");
@@ -188,11 +176,9 @@ int cmd_cosearch(const std::string& env_name, double min_accuracy,
   opts.subnet.iterations = 4;
   opts.cache_path = store.cache_path;
   opts.cache_readonly = store.cache_readonly;
-  opts.cost_backend = store.cost_backend;
   const auto res = nas::run_cosearch(model, opts);
   report_store(store, res.store_entries_loaded, res.mapping_searches);
-  report_batch(res.generations_batched, res.candidates_batch_evaluated,
-               res.cost_backend);
+  report_batch(res.generations_batched, res.candidates_batch_evaluated);
   report_pipeline(res.tasks_executed);
   if (!std::isfinite(res.best_edp)) {
     std::fprintf(stderr,
@@ -217,9 +203,6 @@ int usage() {
                "       naas_cli cosearch <envelope> <acc%%> [iters [seed]]\n"
                "flags: --cache-path <file>  persistent mapping-result store\n"
                "       --cache-readonly     never write the store back\n"
-               "       --cost-backend <scalar|avx2|auto>\n"
-               "                            cost-kernel backend (default: "
-               "auto CPUID dispatch)\n"
                "for a long-lived batched query service over the same store,\n"
                "run naas_serve (see docs/serving.md)\n");
   return 2;
@@ -240,27 +223,6 @@ int main(int argc, char** argv) {
       store.cache_path = argv[++i];
     } else if (a == "--cache-readonly") {
       store.cache_readonly = true;
-    } else if (a == "--cost-backend") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cost-backend requires a backend name\n");
-        return usage();
-      }
-      const std::string name = argv[++i];
-      const auto kind = cost::parse_backend_kind(name);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "unknown cost backend '%s' (scalar|avx2|auto)\n",
-                     name.c_str());
-        return usage();
-      }
-      // An explicit request for a backend this build/CPU cannot run is an
-      // error, not a silent fallback; auto always resolves.
-      if (!cost::backend_available(*kind)) {
-        std::fprintf(stderr, "cost backend '%s' unavailable on this host\n",
-                     name.c_str());
-        return 1;
-      }
-      store.cost_backend = *kind;
     } else if (a[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return usage();

@@ -29,7 +29,7 @@
 //                         append new results incrementally after each
 //                         batch, adopt other processes' appends
 //   --cache-readonly      load the store but never write it back
-//   --threads <n>         evaluation threads (0 = hardware default)
+//   --threads <n>         evaluation threads, 0..256 (0 = hardware default)
 //   --refresh-every <n>   store refresh every n batches (default 1;
 //                         0 = only at exit / on explicit "refresh")
 //   --map-population <n>  mapping-search budget (default 10). Part of the
@@ -45,9 +45,6 @@
 //   --idle-timeout-ms <n> TCP: reap idle connections (0 = never)
 //   --max-line-bytes <n>  both modes: request-line length cap (default 1MiB)
 //   --max-batch <n>       both modes: requests per batch cap (default 4096)
-//   --cost-backend <scalar|avx2|auto>
-//                         cost-kernel backend (default auto: CPUID picks
-//                         the fastest; responses are identical regardless)
 //   --peers <list>        fleet peers ("host:port,host:port,..."): pull
 //                         their result-store snapshots at boot (a restarted
 //                         worker re-warms without redoing searches) and
@@ -71,6 +68,7 @@
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/thread_pool.hpp"
 #include "fleet/replicator.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -87,7 +85,6 @@ int usage() {
       "                  [--max-connections <n>] [--max-queue <n>]\n"
       "                  [--deadline-ms <n>] [--idle-timeout-ms <n>]\n"
       "                  [--max-line-bytes <n>] [--max-batch <n>]\n"
-      "                  [--cost-backend <scalar|avx2|auto>]\n"
       "                  [--peers <host:port,...>] [--peer-pull-every <n>]\n"
       "                  [--faults <spec>]\n"
       "protocol: one JSON request per line on stdin; a blank line submits\n"
@@ -173,7 +170,17 @@ int main(int argc, char** argv) {
     } else if (a == "--cache-readonly") {
       options.store_readonly = true;
     } else if (a == "--threads" && has_value) {
-      options.num_threads = std::atoi(argv[++i]);
+      const char* value = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || errno != 0 || n < 0 ||
+          n > core::kMaxThreads) {
+        std::fprintf(stderr, "bad --threads '%s' (expected 0..%d)\n", value,
+                     core::kMaxThreads);
+        return usage();
+      }
+      options.num_threads = static_cast<int>(n);
     } else if (a == "--refresh-every" && has_value) {
       refresh_every = std::atoll(argv[++i]);
     } else if (a == "--map-population" && has_value) {
@@ -208,21 +215,6 @@ int main(int argc, char** argv) {
     } else if (a == "--max-batch" && has_value) {
       server_options.max_batch_requests =
           static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--cost-backend" && has_value) {
-      const std::string name = argv[++i];
-      const auto kind = cost::parse_backend_kind(name);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "unknown cost backend '%s' (scalar|avx2|auto)\n",
-                     name.c_str());
-        return usage();
-      }
-      if (!cost::backend_available(*kind)) {
-        std::fprintf(stderr, "cost backend '%s' unavailable on this host\n",
-                     name.c_str());
-        return 1;
-      }
-      options.cost_backend = *kind;
     } else if (a == "--peers" && has_value) {
       peers_spec = argv[++i];
     } else if (a == "--peer-pull-every" && has_value) {
@@ -257,8 +249,6 @@ int main(int argc, char** argv) {
   install_signal_handlers();
 
   serve::EvalService service(options);
-  std::fprintf(stderr, "serve: cost backend: %s\n",
-               service.cost_backend_name());
   if (!options.store_path.empty())
     std::fprintf(stderr, "serve: booted with %lld store entries from %s%s\n",
                  static_cast<long long>(
@@ -364,10 +354,9 @@ int main(int argc, char** argv) {
                static_cast<long long>(service.evaluator().cache_size()));
   std::fprintf(stderr,
                "serve: batched cost model scored %lld CMA generations "
-               "(%lld candidates) on %s backend\n",
+               "(%lld candidates)\n",
                service.evaluator().generations_batched(),
-               service.evaluator().candidates_batch_evaluated(),
-               service.cost_backend_name());
+               service.evaluator().candidates_batch_evaluated());
   std::fprintf(stderr, "serve: pipeline ran %lld graph tasks\n",
                service.evaluator().tasks_executed());
   std::fprintf(stderr,

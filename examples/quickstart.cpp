@@ -2,7 +2,6 @@
 // Eyeriss resource envelope and compare against the Eyeriss baseline.
 //
 //   ./build/quickstart [iterations] [--cache-path <file>] [--cache-readonly]
-//                      [--cost-backend <scalar|avx2|auto>]
 //
 // With --cache-path, the search warm-starts from the persistent
 // mapping-result store at <file> and flushes back to it: a second identical
@@ -17,11 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "arch/presets.hpp"
-#include "cost/backend.hpp"
 #include "cost/network_cost.hpp"
 #include "nn/model_zoo.hpp"
 #include "search/accelerator_search.hpp"
@@ -32,27 +29,16 @@ int main(int argc, char** argv) {
   int iterations = 10;
   std::string cache_path;
   bool cache_readonly = false;
-  std::optional<cost::BackendKind> cost_backend;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cache-path") == 0 && i + 1 < argc) {
       cache_path = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-readonly") == 0) {
       cache_readonly = true;
-    } else if (std::strcmp(argv[i], "--cost-backend") == 0 && i + 1 < argc) {
-      const auto kind = cost::parse_backend_kind(argv[++i]);
-      if (!kind || !cost::backend_available(*kind)) {
-        std::fprintf(stderr,
-                     "bad or unavailable cost backend '%s' "
-                     "(scalar|avx2|auto)\n",
-                     argv[i]);
-        return 2;
-      }
-      cost_backend = *kind;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr,
                    "unknown flag: %s\n"
                    "usage: quickstart [iterations] [--cache-path <file>] "
-                   "[--cache-readonly] [--cost-backend <kind>]\n",
+                   "[--cache-readonly]\n",
                    argv[i]);
       return 2;
     } else {
@@ -93,9 +79,7 @@ int main(int argc, char** argv) {
   opts.seed = 1;
   opts.cache_path = cache_path;
   opts.cache_readonly = cache_readonly;
-  opts.cost_backend = cost_backend;
   const search::NaasResult result = search::run_naas(model, opts, {net});
-  std::fprintf(stderr, "cost backend: %s\n", result.cost_backend.c_str());
   if (!cache_path.empty())
     std::fprintf(stderr,
                  "store: loaded %lld entries from %s; mapping searches run: "

@@ -1,8 +1,12 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
-#include "core/env.hpp"
+#include "core/log.hpp"
 
 namespace naas::core {
 
@@ -46,12 +50,27 @@ void ThreadPool::run_loop(Loop& loop) {
 }
 
 int ThreadPool::default_num_threads() {
-  const int from_env = env_int("NAAS_NUM_THREADS", 0);
-  if (from_env > 0) return from_env;
-  return std::max(1u, std::thread::hardware_concurrency());
+  const char* env = std::getenv("NAAS_NUM_THREADS");
+  if (env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && n >= 1 &&
+        n <= kMaxThreads)
+      return static_cast<int>(n);
+    log_warn("ignoring NAAS_NUM_THREADS='" + std::string(env) +
+             "' (expected an integer in [1, " + std::to_string(kMaxThreads) +
+             "])");
+  }
+  return static_cast<int>(std::clamp(std::thread::hardware_concurrency(), 1u,
+                                     static_cast<unsigned>(kMaxThreads)));
 }
 
 ThreadPool::ThreadPool(int num_threads) {
+  if (num_threads > kMaxThreads)
+    throw std::invalid_argument("ThreadPool: " + std::to_string(num_threads) +
+                                " threads requested, at most " +
+                                std::to_string(kMaxThreads) + " allowed");
   if (num_threads <= 0) num_threads = default_num_threads();
   // The calling thread participates in every loop, so a pool of size N
   // needs N-1 workers.

@@ -12,6 +12,11 @@
 
 namespace naas::core {
 
+/// Upper bound on a pool's thread count. Counts arrive from outside the
+/// program (NAAS_NUM_THREADS, naas_serve --threads); a larger request is an
+/// error, never thousands of spawned threads.
+inline constexpr int kMaxThreads = 256;
+
 /// Fixed-size worker pool for the evaluation fan-out of the search loops.
 ///
 /// Design goals, in order:
@@ -33,6 +38,7 @@ class ThreadPool {
  public:
   /// `num_threads <= 0` resolves via `default_num_threads()`;
   /// `num_threads == 1` creates a pool with no workers (inline execution).
+  /// Throws std::invalid_argument above kMaxThreads, before spawning.
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
@@ -54,7 +60,9 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Thread count used for `num_threads <= 0`: the NAAS_NUM_THREADS
-  /// environment variable when set, else `hardware_concurrency`.
+  /// environment variable when it is an integer in [1, kMaxThreads] (any
+  /// other value is ignored with a warning), else `hardware_concurrency`
+  /// clamped to [1, kMaxThreads].
   static int default_num_threads();
 
  private:

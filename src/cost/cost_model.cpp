@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "cost/backend.hpp"
 #include "mapping/footprint.hpp"
 #include "mapping/legality.hpp"
 
@@ -26,18 +25,15 @@ long long ceil_div(long long a, long long b) { return (a + b - 1) / b; }
 /// (tiles, shares, trip counts) are candidate-major — slot j's seven dims
 /// share a cache line, matching the per-candidate scans of stage 2 — while
 /// every stage-3 operand is one flat slot-indexed column, the
-/// struct-of-arrays layout the vector pass streams through. Thread-local
-/// so the search
-/// fan-out reuses one allocation per worker across every generation; all
-/// slots consumed by a call are written by that call first, so reuse never
-/// leaks state between batches (determinism is preserved).
+/// struct-of-arrays layout the arithmetic pass streams through.
+/// Thread-local so the search fan-out reuses one allocation per worker
+/// across every generation; all slots consumed by a call are written by
+/// that call first, so reuse never leaks state between batches
+/// (determinism is preserved).
 struct BatchScratch {
   // Geometry (stage 1): clamped tiles, per-PE shares, trip counts.
   std::vector<int> t2, t1, shr;      // kD * n ints
   std::vector<double> n2, n1;        // kD * n doubles
-  // Loop orders staged as dim-index columns (kD * n ints, outermost
-  // first) so the backend reuse kernels never touch mapping::Mapping.
-  std::vector<int> ord2, ord1, ordr;
   // Tile footprints as the doubles the traffic formulas consume.
   std::vector<double> fp2_in, fp2_w, fp2_out, fp2_tot;
   std::vector<double> fp1_in, fp1_w, fp1_out;
@@ -61,9 +57,6 @@ struct BatchScratch {
     shr.resize(kD * n);
     n2.resize(kD * n);
     n1.resize(kD * n);
-    ord2.resize(kD * n);
-    ord1.resize(kD * n);
-    ordr.resize(kD * n);
     for (auto* v : {&fp2_in, &fp2_w, &fp2_out, &fp2_tot, &fp1_in, &fp1_w,
                     &fp1_out, &phases, &per_pe_iters, &in_f2, &w_f2, &out_f2,
                     &out_d2, &in_f1, &w_f1, &out_f1, &out_d1, &in_rr, &w_rr,
@@ -80,6 +73,170 @@ struct BatchScratch {
 };
 
 thread_local BatchScratch tls_scratch;
+
+/// reload_factor (reuse.cpp) for all three tensors of one temporal level
+/// in a single scan, with relevance pre-reduced to bit masks. Each tensor
+/// keeps its own accumulator and multiplies exactly the trips the scalar
+/// routine would, in the same innermost-to-outermost sequence — fusing the
+/// scans changes nothing about any tensor's rounding order. `ord` lists
+/// the level's loops outermost first.
+void reload_factors_masked(const mapping::LoopOrder& ord, const double* trips,
+                           std::uint8_t in_mask, std::uint8_t w_mask,
+                           std::uint8_t out_mask, double* in_f, double* w_f,
+                           double* out_f) {
+  double fi = 1.0, fw = 1.0, fo = 1.0;
+  bool si = false, sw = false, so = false;  // seen-relevant per tensor
+  for (int i = static_cast<int>(kD) - 1; i >= 0; --i) {
+    const auto d = static_cast<std::size_t>(ord[i]);
+    const double trip = trips[d];
+    if (trip <= 1.0) continue;  // a single-trip loop is no loop at all
+    const auto bit = static_cast<std::uint8_t>(1u << d);
+    // Relevant loops refetch; irrelevant loops refetch only when a
+    // relevant loop sits deeper inside (otherwise: temporal reuse).
+    if (in_mask & bit) {
+      fi *= trip;
+      si = true;
+    } else if (si) {
+      fi *= trip;
+    }
+    if (w_mask & bit) {
+      fw *= trip;
+      sw = true;
+    } else if (sw) {
+      fw *= trip;
+    }
+    if (out_mask & bit) {
+      fo *= trip;
+      so = true;
+    } else if (so) {
+      fo *= trip;
+    }
+  }
+  *in_f = fi;
+  *w_f = fw;
+  *out_f = fo;
+}
+
+/// distinct_tiles (reuse.cpp) over staged trips: product of relevant trips
+/// in canonical dim order.
+double distinct_tiles_masked(const double* trips, std::uint8_t mask) {
+  double n = 1.0;
+  for (std::size_t d = 0; d < kD; ++d)
+    if ((mask >> d) & 1u) n *= trips[d];
+  return n;
+}
+
+/// register_reuse (reuse.cpp) for all three tensors in one scan over the
+/// L1 tile sizes: a tensor accumulates trips until its first relevant
+/// loop, then stops — per-tensor multiplication order is untouched.
+void register_reuse_masked(const mapping::LoopOrder& ord, const int* t1,
+                           std::uint8_t in_mask, std::uint8_t w_mask,
+                           std::uint8_t out_mask, double* in_r, double* w_r,
+                           double* out_r) {
+  double ri = 1.0, rw = 1.0, ro = 1.0;
+  bool di = false, dw = false, dout = false;  // hit the relevant barrier
+  for (int i = static_cast<int>(kD) - 1; i >= 0; --i) {
+    const auto d = static_cast<std::size_t>(ord[i]);
+    const double trip = static_cast<double>(t1[d]);
+    if (trip <= 1.0) continue;  // degenerate loop: neither reuse nor barrier
+    const auto bit = static_cast<std::uint8_t>(1u << d);
+    if (!di) {
+      if (in_mask & bit) di = true; else ri *= trip;
+    }
+    if (!dw) {
+      if (w_mask & bit) dw = true; else rw *= trip;
+    }
+    if (!dout) {
+      if (out_mask & bit) dout = true; else ro *= trip;
+    }
+    if (di && dw && dout) break;
+  }
+  *in_r = ri;
+  *w_r = rw;
+  *out_r = ro;
+}
+
+/// Stage-2 reuse scans for slot `j`, which holds mapping `m`.
+void reuse_slot(const LayerContext& ctx, const mapping::Mapping& m,
+                BatchScratch& s, std::size_t j) {
+  const double* n2_row = &s.n2[j * kD];
+  const double* n1_row = &s.n1[j * kD];
+  reload_factors_masked(m.dram.order, n2_row, ctx.input_mask,
+                        ctx.weight_mask, ctx.output_mask, &s.in_f2[j],
+                        &s.w_f2[j], &s.out_f2[j]);
+  s.out_d2[j] = distinct_tiles_masked(n2_row, ctx.output_mask);
+  reload_factors_masked(m.pe.order, n1_row, ctx.input_mask,
+                        ctx.weight_mask, ctx.output_mask, &s.in_f1[j],
+                        &s.w_f1[j], &s.out_f1[j]);
+  s.out_d1[j] = distinct_tiles_masked(n1_row, ctx.output_mask);
+  register_reuse_masked(m.pe_order, &s.t1[j * kD], ctx.input_mask,
+                        ctx.weight_mask, ctx.output_mask, &s.in_rr[j],
+                        &s.w_rr[j], &s.out_rr[j]);
+}
+
+/// Stage-3 traffic/latency/energy arithmetic for one slot. Each line is
+/// the scalar evaluator's formula verbatim (left-associated exactly as
+/// written), so per-candidate rounding order never depends on the batch.
+void arith_slot(const LayerContext& ctx, BatchScratch& s, std::size_t j) {
+  // Level 1: DRAM <-> L2.
+  const double in_dram = s.in_f2[j] * s.fp2_in[j];
+  const double w_dram = s.w_f2[j] * s.fp2_w[j];
+  const double out_writes_dram = s.out_f2[j] * s.fp2_out[j];
+  const double out_reads_dram = (s.out_f2[j] - s.out_d2[j]) * s.fp2_out[j];
+  s.dram_bytes[j] = in_dram + w_dram + out_writes_dram + out_reads_dram;
+  const double l2_fill_writes = in_dram + w_dram + out_reads_dram;
+  const double l2_drain_reads = out_writes_dram;
+
+  // Level 2: L2 <-> PE array (per phase, per PE, then scaled).
+  const double per_pe_in = s.in_f1[j] * s.fp1_in[j];
+  const double per_pe_w = s.w_f1[j] * s.fp1_w[j];
+  const double per_pe_out_w = s.out_f1[j] * s.fp1_out[j];
+  const double per_pe_out_r = (s.out_f1[j] - s.out_d1[j]) * s.fp1_out[j];
+
+  const double l2_in_reads = s.phases[j] * per_pe_in * s.in_mult[j];
+  const double l2_w_reads = s.phases[j] * per_pe_w * s.w_mult[j];
+  const double l2_out_writes = s.phases[j] * per_pe_out_w * s.out_mult[j];
+  const double l2_out_reads = s.phases[j] * per_pe_out_r * s.out_mult[j];
+
+  s.l2_read[j] = l2_in_reads + l2_w_reads + l2_out_reads + l2_drain_reads;
+  s.l2_write[j] = l2_out_writes + l2_fill_writes;
+
+  // NoC delivery energy: every active PE receives its operand stream;
+  // psum reduction adds (red_extent - 1) hops per reduced output byte.
+  s.noc_delivery[j] = s.phases[j] *
+                      (per_pe_in + per_pe_w + per_pe_out_r + per_pe_out_w) *
+                      s.fanout[j];
+  s.red_hops[j] = l2_out_writes * (s.red_extent[j] - 1.0);
+
+  // Level 3: registers inside the PE.
+  const double l1_in_reads = ctx.macs / s.in_rr[j];
+  const double l1_w_reads = ctx.macs / s.w_rr[j];
+  const double l1_out_rw = 2.0 * ctx.macs / s.out_rr[j];
+  const double l1_fill =
+      s.phases[j] * (per_pe_in + per_pe_w + per_pe_out_r) * s.fanout[j];
+  const double l1_drain = s.phases[j] * per_pe_out_w * s.fanout[j];
+  s.l1_access[j] = l1_in_reads + l1_w_reads + l1_out_rw + l1_fill + l1_drain;
+
+  // Latency: padded per-PE iteration space at 1 MAC/cycle vs the two
+  // port occupancies, plus pipeline fill.
+  s.compute_cyc[j] = s.phases[j] * s.per_pe_iters[j];
+  s.noc_cyc[j] = (s.l2_read[j] + s.l2_write[j]) / ctx.noc_bw;
+  s.dram_cyc[j] = s.dram_bytes[j] / ctx.dram_bw;
+  const double fill_cycles = s.fp2_tot[j] / ctx.dram_bw + ctx.array_depth;
+  s.latency[j] =
+      std::max({s.compute_cyc[j], s.noc_cyc[j], s.dram_cyc[j]}) + fill_cycles;
+  s.util[j] = ctx.macs / (ctx.pes * s.compute_cyc[j]);
+
+  // Energy (per-byte coefficients precomputed in the context).
+  s.e_l1[j] = s.l1_access[j] * ctx.l1_access_pj;
+  s.e_l2[j] = (s.l2_read[j] + s.l2_write[j]) * ctx.l2_access_pj;
+  s.e_noc[j] = (s.noc_delivery[j] + s.red_hops[j]) * ctx.noc_hop_pj;
+  s.e_dram[j] = s.dram_bytes[j] * ctx.dram_pj_per_byte;
+  s.e_total_nj[j] =
+      (ctx.mac_energy_pj + s.e_l1[j] + s.e_l2[j] + s.e_noc[j] + s.e_dram[j]) /
+      1000.0;
+  s.edp[j] = s.e_total_nj[j] * s.latency[j];
+}
 
 void fill_illegal(CostReport& rep, std::string reason) {
   rep = CostReport{};
@@ -166,13 +323,6 @@ bool stage_geometry(const LayerContext& ctx, const mapping::Mapping& m,
   if (!order_is_permutation(m.pe_order)) {
     fill_illegal(rep, mapping::kReasonRegisterOrder);
     return false;
-  }
-  // Stage the (validated) loop orders as plain dim-index columns so the
-  // backend reuse kernels scan flat ints instead of mapping::LoopOrder.
-  for (std::size_t i = 0; i < kD; ++i) {
-    s.ord2[j * kD + i] = static_cast<int>(m.dram.order[i]);
-    s.ord1[j * kD + i] = static_cast<int>(m.pe.order[i]);
-    s.ordr[j * kD + i] = static_cast<int>(m.pe_order[i]);
   }
   int t2l[kD], t1l[kD], shrl[kD];
   for (nn::Dim dim : nn::all_dims()) {
@@ -309,9 +459,8 @@ void CostModel::evaluate_batch(const LayerContext& ctx,
   }
   const std::size_t m = s.live.size();
 
-  // ---- Stage 2 (shared prep): candidate-local products and spatial
-  // multipliers that stay in front of the backend seam — they index
-  // context axis metadata and tile geometry, not the SoA reuse columns. --
+  // ---- Stage 2: candidate-local products and spatial multipliers (they
+  // index context axis metadata and tile geometry) -----------------------
   for (std::size_t j = 0; j < m; ++j) {
     const double* n2_row = &s.n2[j * kD];
     const double* n1_row = &s.n1[j * kD];
@@ -360,62 +509,12 @@ void CostModel::evaluate_batch(const LayerContext& ctx,
     s.fanout[j] = fanout;
   }
 
-  // ---- Stages 2b + 3 on the pluggable backend: mask-driven reuse scans,
-  // then the flat traffic/latency/energy arithmetic. Every backend is
-  // byte-identical to scalar by contract, so this dispatch never changes a
-  // report — only how fast the columns fill. ----------------------------
-  BatchColumns cols;
-  cols.count = m;
-  cols.ord2 = s.ord2.data();
-  cols.ord1 = s.ord1.data();
-  cols.ordr = s.ordr.data();
-  cols.n2 = s.n2.data();
-  cols.n1 = s.n1.data();
-  cols.t1 = s.t1.data();
-  cols.in_f2 = s.in_f2.data();
-  cols.w_f2 = s.w_f2.data();
-  cols.out_f2 = s.out_f2.data();
-  cols.out_d2 = s.out_d2.data();
-  cols.in_f1 = s.in_f1.data();
-  cols.w_f1 = s.w_f1.data();
-  cols.out_f1 = s.out_f1.data();
-  cols.out_d1 = s.out_d1.data();
-  cols.in_rr = s.in_rr.data();
-  cols.w_rr = s.w_rr.data();
-  cols.out_rr = s.out_rr.data();
-  cols.phases = s.phases.data();
-  cols.per_pe_iters = s.per_pe_iters.data();
-  cols.fp2_in = s.fp2_in.data();
-  cols.fp2_w = s.fp2_w.data();
-  cols.fp2_out = s.fp2_out.data();
-  cols.fp2_tot = s.fp2_tot.data();
-  cols.fp1_in = s.fp1_in.data();
-  cols.fp1_w = s.fp1_w.data();
-  cols.fp1_out = s.fp1_out.data();
-  cols.in_mult = s.in_mult.data();
-  cols.w_mult = s.w_mult.data();
-  cols.out_mult = s.out_mult.data();
-  cols.red_extent = s.red_extent.data();
-  cols.fanout = s.fanout.data();
-  cols.dram_bytes = s.dram_bytes.data();
-  cols.l2_read = s.l2_read.data();
-  cols.l2_write = s.l2_write.data();
-  cols.l1_access = s.l1_access.data();
-  cols.noc_delivery = s.noc_delivery.data();
-  cols.red_hops = s.red_hops.data();
-  cols.compute_cyc = s.compute_cyc.data();
-  cols.noc_cyc = s.noc_cyc.data();
-  cols.dram_cyc = s.dram_cyc.data();
-  cols.latency = s.latency.data();
-  cols.util = s.util.data();
-  cols.e_l1 = s.e_l1.data();
-  cols.e_l2 = s.e_l2.data();
-  cols.e_noc = s.e_noc.data();
-  cols.e_dram = s.e_dram.data();
-  cols.e_total_nj = s.e_total_nj.data();
-  cols.edp = s.edp.data();
-  backend_->reuse_pass(ctx, cols);
-  backend_->arithmetic_pass(ctx, cols);
+  // ---- Stages 2b + 3: mask-driven reuse scans, then the flat
+  // traffic/latency/energy arithmetic, one live slot at a time. ---------
+  for (std::size_t j = 0; j < m; ++j) {
+    reuse_slot(ctx, mappings[s.live[j]], s, j);
+    arith_slot(ctx, s, j);
+  }
 
   // ---- Stage 4: scatter into the report structs ------------------------
   for (std::size_t j = 0; j < m; ++j) {

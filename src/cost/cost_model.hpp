@@ -4,7 +4,6 @@
 #include <string>
 
 #include "arch/accelerator.hpp"
-#include "cost/backend.hpp"
 #include "cost/energy_model.hpp"
 #include "cost/layer_context.hpp"
 #include "mapping/mapping.hpp"
@@ -59,40 +58,19 @@ struct CostReport {
 ///  - `evaluate_batch` scores a whole generation against a LayerContext of
 ///    precomputed per-(arch, layer) invariants, laying the candidates out
 ///    struct-of-arrays so the traffic/latency/energy formulas run as tight
-///    vectorizable loops.
+///    loops.
 /// Both produce bit-identical reports for the same candidate: the batch
 /// path performs each candidate's double arithmetic in exactly the scalar
 /// evaluation order, so batch size, batch composition, and thread count
 /// never change a result.
-///
-/// The two data-parallel passes of the batch evaluation (the mask-driven
-/// reuse scans and the flat arithmetic) run on a pluggable cost::Backend.
-/// Every CPU backend is byte-identical to the scalar reference by
-/// contract, so the backend choice is a pure throughput knob — reports,
-/// cache contents, and stores never depend on it. The default resolves
-/// NAAS_COST_BACKEND (env) or kAuto via runtime CPUID dispatch.
 class CostModel {
  public:
   CostModel() : CostModel(EnergyModel{}) {}
-  explicit CostModel(EnergyModel energy,
-                     BackendKind backend = default_backend_kind())
-      : energy_(energy) {
-    set_backend(backend);
-  }
+  explicit CostModel(EnergyModel energy) : energy_(energy) {}
 
-  /// Selects the cost-kernel backend. kAuto (and any unavailable explicit
-  /// request) resolves to the best available implementation; query
-  /// backend_kind()/backend_name() for what was actually selected. Not
-  /// safe to call concurrently with evaluation.
-  void set_backend(BackendKind kind) {
-    backend_kind_ = resolve_backend(kind);
-    backend_ = backend_for(backend_kind_);
-  }
-
-  /// The resolved (always-available) backend kind in use.
-  BackendKind backend_kind() const { return backend_kind_; }
-  /// Stable name of the backend in use ("scalar", "avx2", ...).
-  const char* backend_name() const { return backend_->name(); }
+  /// Name of the cost kernel: always "scalar", since there is one. The
+  /// benchmark driver (perfbench/) stamps it into every result.
+  const char* backend_name() const { return "scalar"; }
 
   /// Evaluates `mapping` for `layer` on `arch`. Illegal mappings yield
   /// legal=false and edp=+inf; callers that want a best-effort number
@@ -122,8 +100,6 @@ class CostModel {
 
  private:
   EnergyModel energy_;
-  BackendKind backend_kind_ = BackendKind::kScalar;
-  const Backend* backend_ = &scalar_backend();
 };
 
 }  // namespace naas::cost

@@ -65,8 +65,6 @@ struct CoSearchOptions {
   /// before the co-search, flushed after it unless cache_readonly.
   std::string cache_path;
   bool cache_readonly = false;
-  /// Cost-kernel backend override (see NaasOptions::cost_backend).
-  std::optional<cost::BackendKind> cost_backend;
 };
 
 /// Outcome of the accelerator + mapping + neural-architecture co-search.
@@ -88,8 +86,6 @@ struct CoSearchResult {
   long long speculative_wasted = 0;
   /// Entries warm-started from CoSearchOptions::cache_path.
   long long store_entries_loaded = 0;
-  /// Resolved cost-kernel backend (see NaasResult::cost_backend).
-  std::string cost_backend;
   double wall_seconds = 0;
 };
 

@@ -56,8 +56,6 @@ std::uint64_t jitter_next(std::uint64_t* state) {
 
 EvalService::EvalService(const ServeOptions& options)
     : options_(options),
-      model_(cost::EnergyModel{},
-             options.cost_backend.value_or(cost::default_backend_kind())),
       pool_(options.num_threads),
       evaluator_(model_, options.mapping, &pool_) {
   if (!options_.store_path.empty()) {
@@ -358,7 +356,6 @@ Json EvalService::cache_stats_json() const {
   obj.set("requests_timed_out", Json::integer(requests_timed_out()));
   obj.set("protocol_rejects", Json::integer(protocol_rejects()));
   obj.set("pool_threads", Json::integer(pool_.size()));
-  obj.set("cost_backend", Json::string(model_.backend_name()));
   return obj;
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,11 +30,6 @@ struct ServeOptions {
   std::string store_path;
   /// Load the store but never write it back.
   bool store_readonly = false;
-  /// Cost-kernel backend override (--cost-backend). nullopt keeps the
-  /// process default (NAAS_COST_BACKEND env or auto-dispatch). Responses
-  /// are byte-identical for every value — the resolved backend is visible
-  /// in cache_stats as "cost_backend".
-  std::optional<cost::BackendKind> cost_backend;
 };
 
 /// Serving-layer counters (distinct from the evaluator's own work meters,
@@ -145,8 +139,6 @@ class EvalService : public LineHandler {
   const search::ArchEvaluator& evaluator() const { return evaluator_; }
   const ServiceStats& stats() const { return stats_; }
   const ServeOptions& options() const { return options_; }
-  /// Resolved cost-kernel backend in use ("scalar", "avx2", ...).
-  const char* cost_backend_name() const { return model_.backend_name(); }
 
  private:
   /// A request resolved to domain objects (or to an error), ready for the

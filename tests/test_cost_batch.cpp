@@ -149,6 +149,44 @@ TEST(CostBatch, MatchesScalarForAnyBatchSizeOnRandomWorkloads) {
                                    std::size_t{7}})
       expect_batch_matches_scalar(model, arch, layer, cands, batch_size);
   }
+
+  // Pinned inputs, 64 candidates each and also scored as one batch of 64:
+  // one fixed workload per CNN kind (canonical mapping first), then two
+  // degenerate archs whose every candidate must fail the same way in any
+  // batch — a PE count that overflows int and a zero DRAM bandwidth.
+  const auto check_all_sizes = [&](const arch::ArchConfig& arch,
+                                   const nn::Workload& layer,
+                                   const std::vector<mapping::Mapping>& cands) {
+    for (std::size_t batch_size : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{64}})
+      expect_batch_matches_scalar(model, arch, layer, cands, batch_size);
+  };
+  core::Rng pinned_rng(test::sweep_seed(0xBEEF));
+  const arch::ArchConfig nvdla = arch::nvdla_256_arch();
+  for (const nn::Workload& layer :
+       {nn::make_conv("cv", 64, 64, 3, 1, 28, 2),
+        nn::make_dwconv("dw", 96, 3, 1, 14, 2),
+        nn::make_fc("fc", 512, 1000, 4)}) {
+    std::vector<mapping::Mapping> cands = {
+        mapping::canonical_mapping(nvdla, layer)};
+    for (int i = 0; i < 63; ++i)
+      cands.push_back(random_candidate(pinned_rng, nvdla, layer));
+    check_all_sizes(nvdla, layer, cands);
+  }
+
+  arch::ArchConfig overflow = nvdla;
+  overflow.array_dims[0] = 65536;
+  overflow.array_dims[1] = 65536;
+  arch::ArchConfig zero_bw = nvdla;
+  zero_bw.dram_bandwidth = 0;
+  core::Rng degenerate_rng(test::sweep_seed(0xDE6E));
+  const nn::Workload conv = nn::make_conv("cv", 32, 32, 3, 1, 14);
+  for (const arch::ArchConfig& arch : {overflow, zero_bw}) {
+    std::vector<mapping::Mapping> cands;
+    for (int i = 0; i < 64; ++i)
+      cands.push_back(random_candidate(degenerate_rng, arch, conv));
+    check_all_sizes(arch, conv, cands);
+  }
 }
 
 TEST(CostBatch, LegalityReasonsMatchMappingCheck) {

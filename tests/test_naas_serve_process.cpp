@@ -292,6 +292,23 @@ TEST(NaasServeProcess, MalformedFaultsSpecExitsLoudly) {
   }
 }
 
+TEST(NaasServeProcess, BadThreadCountExitsWithUsage) {
+  if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
+  // Not a number, negative, trailing garbage, or above core::kMaxThreads:
+  // each is a usage error before any pool exists.
+  for (const char* bad : {"abc", "-3", "4x", "257"}) {
+    Child child;
+    ASSERT_TRUE(child.spawn({"--threads", bad}));
+    child.close_in();
+    EXPECT_EQ(child.wait_exit(), 2) << bad;
+    std::string line;
+    bool saw_reason = false;
+    while (child.read_stderr_line(&line, 2000))
+      if (line.find("bad --threads") != std::string::npos) saw_reason = true;
+    EXPECT_TRUE(saw_reason) << bad;
+  }
+}
+
 TEST(NaasServeProcess, ListenModeServesAndDrainsOnSigterm) {
   if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
   Child child;

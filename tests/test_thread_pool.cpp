@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "arch/presets.hpp"
@@ -53,6 +55,33 @@ TEST(ThreadPool, ExceptionPropagates) {
   std::atomic<int> count{0};
   pool.parallel_for(8, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, RejectsMoreThanMaxThreads) {
+  EXPECT_THROW(core::ThreadPool pool(core::kMaxThreads + 1),
+               std::invalid_argument);
+}
+
+TEST(ThreadPool, DefaultIgnoresOutOfRangeEnv) {
+  // Only default_num_threads() runs here: it spawns nothing, whatever the
+  // environment says.
+  const char* saved = std::getenv("NAAS_NUM_THREADS");
+  const bool had_value = saved != nullptr;
+  const std::string restore = had_value ? saved : "";
+  ::unsetenv("NAAS_NUM_THREADS");
+  const int fallback = core::ThreadPool::default_num_threads();
+  EXPECT_GE(fallback, 1);
+  EXPECT_LE(fallback, core::kMaxThreads);
+  for (const char* bad : {"0", "-3", "257", "4x", "abc", "4294967298"}) {
+    ::setenv("NAAS_NUM_THREADS", bad, 1);
+    EXPECT_EQ(core::ThreadPool::default_num_threads(), fallback) << bad;
+  }
+  ::setenv("NAAS_NUM_THREADS", "3", 1);
+  EXPECT_EQ(core::ThreadPool::default_num_threads(), 3);
+  if (had_value)
+    ::setenv("NAAS_NUM_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("NAAS_NUM_THREADS");
 }
 
 TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -267,6 +268,33 @@ mapping::Mapping random_candidate(core::Rng& rng, const arch::ArchConfig& arch,
   return m;
 }
 
+/// Scores `cands` through evaluate_batch in chunks of each size in
+/// `batch_sizes` and expects every report to match per-candidate evaluate
+/// byte for byte.
+void expect_batch_matches_scalar(
+    const CostModel& model, const arch::ArchConfig& arch,
+    const Workload& layer, const std::vector<mapping::Mapping>& cands,
+    std::initializer_list<std::size_t> batch_sizes) {
+  std::vector<std::string> scalar;
+  for (const auto& m : cands)
+    scalar.push_back(serialize_report(model.evaluate(arch, layer, m)));
+
+  const LayerContext ctx = model.make_context(arch, layer);
+  for (std::size_t batch_size : batch_sizes) {
+    std::vector<CostReport> reports(cands.size());
+    for (std::size_t lo = 0; lo < cands.size(); lo += batch_size) {
+      const std::size_t len = std::min(batch_size, cands.size() - lo);
+      model.evaluate_batch(
+          ctx, std::span<const mapping::Mapping>(cands).subspan(lo, len),
+          std::span<CostReport>(reports).subspan(lo, len));
+    }
+    for (std::size_t i = 0; i < cands.size(); ++i)
+      EXPECT_EQ(scalar[i], serialize_report(reports[i]))
+          << layer.to_string() << " candidate " << i << " at batch size "
+          << batch_size << " (reason='" << reports[i].illegal_reason << "')";
+  }
+}
+
 TEST(TransformerCostBatch, MatchesScalarByteForByteOnRandomGemms) {
   const CostModel model;
   core::Rng rng(test::sweep_seed(20260808));
@@ -276,28 +304,39 @@ TEST(TransformerCostBatch, MatchesScalarByteForByteOnRandomGemms) {
     std::vector<mapping::Mapping> cands;
     for (int i = 0; i < 24; ++i)
       cands.push_back(random_candidate(rng, arch, layer));
-
-    std::vector<std::string> scalar;
-    for (const auto& m : cands)
-      scalar.push_back(serialize_report(model.evaluate(arch, layer, m)));
-
-    const LayerContext ctx = model.make_context(arch, layer);
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{12},
-                                   std::size_t{7}}) {
-      std::vector<CostReport> reports(cands.size());
-      for (std::size_t lo = 0; lo < cands.size(); lo += batch_size) {
-        const std::size_t len = std::min(batch_size, cands.size() - lo);
-        model.evaluate_batch(
-            ctx, std::span<const mapping::Mapping>(cands).subspan(lo, len),
-            std::span<CostReport>(reports).subspan(lo, len));
-      }
-      for (std::size_t i = 0; i < cands.size(); ++i)
-        EXPECT_EQ(scalar[i], serialize_report(reports[i]))
-            << layer.to_string() << " candidate " << i << " at batch size "
-            << batch_size << " (reason='" << reports[i].illegal_reason
-            << "')";
-    }
+    expect_batch_matches_scalar(model, arch, layer, cands, {1, 12, 7});
   }
+
+  // Pinned inputs, 64 candidates each and also scored as one batch of 64:
+  // one fixed workload per GEMM kind (canonical mapping first).
+  const arch::ArchConfig nvdla = arch::nvdla_256_arch();
+  core::Rng pinned_rng(test::sweep_seed(0xBEEF));
+  for (const Workload& layer :
+       {nn::make_matmul("mm", 128, 768, 3072, 4),
+        nn::make_attention_scores("qk", 128, 128, 64, 12, 2),
+        nn::make_attention_context("av", 128, 128, 64, 12, 2)}) {
+    std::vector<mapping::Mapping> cands = {
+        mapping::canonical_mapping(nvdla, layer)};
+    for (int i = 0; i < 63; ++i)
+      cands.push_back(random_candidate(pinned_rng, nvdla, layer));
+    expect_batch_matches_scalar(model, nvdla, layer, cands, {1, 7, 64});
+  }
+
+  // Matmul pins Xp/R/S to extent 1: half the batch forces a tile > 1 on a
+  // pinned dim, so illegal candidates interleave with legal ones and the
+  // survivors must compact around them identically in any batch.
+  const Workload mm = nn::make_matmul("mm", 64, 128, 256, 2);
+  core::Rng gemm_rng(test::sweep_seed(0x6E44));
+  std::vector<mapping::Mapping> cands;
+  for (int i = 0; i < 64; ++i) {
+    mapping::Mapping m = random_candidate(gemm_rng, nvdla, mm);
+    if (i % 2 == 0) {
+      const Dim pinned[] = {Dim::kXp, Dim::kR, Dim::kS};
+      mapping::set_tile(m.dram.tile, pinned[i % 3], 2 + (i % 5));
+    }
+    cands.push_back(m);
+  }
+  expect_batch_matches_scalar(model, nvdla, mm, cands, {1, 7, 64});
 }
 
 TEST(TransformerCostBatch, LegalityReasonsMatchMappingCheck) {
